@@ -1,19 +1,18 @@
-// Level 1 of the parallel exact-cut engine: batches of s-t terminal pairs
-// solved concurrently. Each task solves on its own FlowNetwork residual
-// copy (reset between the pairs of its block, so repeated solves are
-// O(arcs pushed)), and the reduction to the best cut is ordered and
-// index-deterministic. The contract, relied on by global_min_cut and the
-// cuts/ estimators ported onto the battery:
+// The flow layer's one parallel level: batches of s-t terminal pairs
+// solved concurrently, each solve a serial max flow. Each task solves on
+// its own FlowNetwork residual copy (reset between the pairs of its block,
+// so repeated solves are O(arcs pushed)), and the reduction to the best cut
+// is ordered and index-deterministic. The contract, relied on by
+// global_min_cut and the cuts/ estimators ported onto the battery:
 //
 //   solve(pairs)[i] is bitwise identical to a serial st_min_cut loop over
 //   `pairs` on one reused network, for ANY thread configuration — every
 //   solve starts from an exact capacity reset, so neither the block shape
 //   nor the worker schedule can reach a result.
 //
-// Intra-solve threading (FlowAlgo::Auto's parallel-discharge engine) rides
-// the same FlowOptions: battery tasks running on pool workers inline their
-// nested parallel_for, so the two levels compose without oversubscription
-// or deadlock (the PR-5 nested-submit rule).
+// A battery solved on a pool worker runs its blocks inline (the nested
+// parallel_for rule in util/thread_pool.h), so it composes with outer
+// parallelism without oversubscription or deadlock.
 #pragma once
 
 #include <utility>

@@ -1,37 +1,23 @@
 // Exact single-commodity max-flow over a FlowNetwork.
 //
-// Three engines:
+// Two engines:
 //  * HighestLabel — push-relabel with highest-label node selection, the
 //    gap heuristic (a height with no nodes disconnects everything above it
 //    from the sink side) and periodic global relabeling (exact residual
-//    BFS distances). The serial production engine; runs to completion, so
-//    the residual state it leaves behind is a valid maximum flow.
-//  * ParallelDischarge — round-synchronous push-relabel for large
-//    instances: each round freezes heights, discharges every active node
-//    into per-arc delta buffers over fixed vertex blocks, then applies
-//    the deltas and relabels in a serial block-ordered merge. Bitwise
-//    deterministic for any thread count (including 1), because every
-//    cross-block effect goes through the ordered merge; the thread count
-//    only decides which worker runs a block.
+//    BFS distances). The production engine; runs to completion, so the
+//    residual state it leaves behind is a valid maximum flow.
 //  * Dinic — BFS level graph + DFS blocking flow with current-arc
-//    pointers. Deliberately simple; the tests cross-check the push-relabel
-//    engines against it on randomized instances.
+//    pointers. Deliberately simple; the tests cross-check HighestLabel
+//    against it on randomized instances.
 //
-// FlowAlgo::Auto picks ParallelDischarge above an instance-size cutoff and
-// HighestLabel below it. The predicate looks only at the instance (arc
-// count), never at the thread configuration, so results stay byte-identical
-// across TOPOBENCH_SOLVER_THREADS settings — the flow-level half of the
-// PR-5 determinism contract. The threshold is grounded by the
-// BM_StMaxFlow* micro benches (bench/micro_solvers.cpp): below a few
-// thousand arcs the round structure's extra passes cost more than the
-// blocks can win back.
+// Every solve is serial. Flow parallelism lives one level up, in the
+// CutBattery (flow/cut_battery.h), which solves many terminal pairs of one
+// graph concurrently. FlowAlgo::Auto resolves to HighestLabel.
 //
 // Capacities are doubles; residual amounts at or below
 // FlowNetwork::tolerance() count as zero everywhere, so solvers, cut
 // extraction, and verification agree on saturation.
 #pragma once
-
-#include <utility>
 
 #include "flow/flow_network.h"
 
@@ -41,6 +27,8 @@ class ThreadPool;
 
 namespace tb::flow {
 
+/// ParallelDischarge is retired: max_flow rejects it. The enumerator stays
+/// only until the repo benchmark (perfbench/) stops naming it.
 enum class FlowAlgo { HighestLabel, Dinic, ParallelDischarge, Auto };
 
 /// Work counters, mostly for tests, CSV telemetry and the micro benches.
@@ -62,42 +50,27 @@ struct MaxFlowStats {
   }
 };
 
-/// Threading configuration of the flow engines and the cut battery,
-/// mirroring the mcf::SolveOptions::solver_threads contract: 0 = the
-/// shared pool, 1 = fully serial, N > 1 = a process-shared dedicated pool
-/// of N workers. `pool` overrides the resolution with an explicit pool
-/// (battery tasks hand their own pool down so nested parallel_for inlines).
-/// Threads never change results — only which workers do the work.
+/// Threading configuration of the cut battery, mirroring the
+/// mcf::SolveOptions::solver_threads contract: 0 = the shared pool, 1 =
+/// fully serial, N > 1 = a process-shared dedicated pool of N workers
+/// (ThreadPool::resolve). `pool` overrides the resolution with an explicit
+/// pool. Threads never change results — only which workers do the work.
 struct FlowOptions {
   FlowAlgo algo = FlowAlgo::Auto;
   int threads = 0;
   ThreadPool* pool = nullptr;
 };
 
-/// Instance-only cutoff of FlowAlgo::Auto: true when `net` is large enough
-/// that the parallel-discharge engine is worth its per-round overhead.
-bool parallel_discharge_cutoff(const FlowNetwork& net);
-
-/// The engine FlowAlgo::Auto resolves to for `net` (identity otherwise).
+/// The engine `algo` runs as: FlowAlgo::Auto resolves to HighestLabel on
+/// every instance, other values to themselves.
 FlowAlgo resolve_flow_algo(const FlowNetwork& net, FlowAlgo algo);
-
-/// Resolve `opts` to the (parallel, pool) pair the engines use: null pool
-/// means ThreadPool::shared(). Serial when threads == 1, and never a fresh
-/// dedicated pool from inside a pool worker (nested parallel_for inlines,
-/// so its threads could never be used).
-std::pair<bool, ThreadPool*> resolve_flow_pool(const FlowOptions& opts);
 
 /// Maximum s-t flow value. Mutates `net`'s residual state in place; the
 /// resulting flow is read back per arc via FlowNetwork::flow(). Throws
-/// std::invalid_argument on bad terminals or an unfinalized network.
+/// std::invalid_argument on bad terminals, an unfinalized network or
+/// FlowAlgo::ParallelDischarge.
 double max_flow(FlowNetwork& net, int s, int t,
                 FlowAlgo algo = FlowAlgo::HighestLabel,
-                MaxFlowStats* stats = nullptr);
-
-/// Same, with the full threading configuration: FlowAlgo::Auto dispatch
-/// plus a worker pool for the parallel-discharge engine. The flow value
-/// and residual state are bitwise identical for any `threads`/`pool`.
-double max_flow(FlowNetwork& net, int s, int t, const FlowOptions& opts,
                 MaxFlowStats* stats = nullptr);
 
 }  // namespace tb::flow

@@ -34,23 +34,12 @@ StCut st_min_cut(const Graph& g, int s, int t,
 StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
                  FlowAlgo algo = FlowAlgo::HighestLabel);
 
-/// Threaded variants: FlowAlgo::Auto dispatch plus the FlowOptions worker
-/// configuration for the parallel-discharge engine. Results are bitwise
-/// identical to the serial overloads for any thread count (`opts` is
-/// deliberately not defaulted so the legacy calls stay unambiguous).
-StCut st_min_cut(const Graph& g, int s, int t, const FlowOptions& opts);
-StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
-                 const FlowOptions& opts);
-
-/// Global minimum cut: the smallest s-t cut over all terminal pairs,
-/// computed as min over t != 0 of st_min_cut(0, t) (every cut separates
-/// node 0 from something). n-1 max flows; fine at evaluation sizes.
+/// Global minimum cut: the smallest s-t cut over all terminal pairs, the
+/// min over t != 0 of st_min_cut(0, t) (every cut separates node 0 from
+/// something). The n-1 max flows run concurrently on the CutBattery under
+/// `opts` and reduce in index order, so the returned cut (stats included)
+/// is bitwise identical to a serial st_min_cut loop for any thread count.
 /// Requires at least two nodes.
-StCut global_min_cut(const Graph& g, FlowAlgo algo = FlowAlgo::HighestLabel);
-
-/// Threaded variant: solves the n-1 terminal pairs concurrently on the
-/// CutBattery and reduces in index order, so the returned cut (stats
-/// included) is bitwise identical to the serial loop above.
-StCut global_min_cut(const Graph& g, const FlowOptions& opts);
+StCut global_min_cut(const Graph& g, const FlowOptions& opts = {});
 
 }  // namespace tb::flow

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,32 +10,8 @@
 
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace tb::mcf {
-
-namespace {
-
-/// Resolve SolveOptions::solver_threads to the (parallel, pool) pair the
-/// solvers receive (null pool = ThreadPool::shared()). Dedicated pools are
-/// the process-shared ThreadPool::dedicated ones — engines (and their
-/// fleet forks) are constructed per solve or per scenario all over the
-/// stack, so pools must outlive any single engine; spawning and joining N
-/// threads per solve would dwarf small solves and pollute the
-/// parallel_scaling timings.
-std::pair<bool, ThreadPool*> resolve_solver_pool(const SolveOptions& opts) {
-  if (!opts.parallel || opts.solver_threads == 1) return {false, nullptr};
-  if (opts.solver_threads <= 0) return {true, nullptr};  // shared pool
-  if (ThreadPool::in_worker()) {
-    // Nested under outer parallelism: parallel_for inlines on workers, so
-    // a dedicated pool could never be used — don't spin up its threads.
-    return {true, nullptr};
-  }
-  return {true,
-          &ThreadPool::dedicated(static_cast<std::size_t>(opts.solver_threads))};
-}
-
-}  // namespace
 
 std::vector<int> sampled_risk_groups(const ScenarioSpec& spec,
                                      int num_groups) {
@@ -315,7 +289,8 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
        net_->graph.num_nodes() <= opts.exact_max_switches &&
        lp_size_within(num_sources, net_->graph.num_arcs(),
                       opts.exact_max_lp_size));
-  const auto [solve_parallel, pool] = resolve_solver_pool(opts);
+  ThreadPool* const pool =
+      opts.parallel ? ThreadPool::resolve(opts.solver_threads) : nullptr;
   if (use_exact) {
     ExactLpSession session;
     if (scenario_active_) session.arc_caps = &gk_.arc_capacities();
@@ -323,9 +298,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
     if (warm && !lp_basis_.empty()) session.warm_basis = &lp_basis_;
     session.basis_out = &lp_basis_;
     session.warm_started_out = &warm_used;
-    session.pool = solve_parallel
-                       ? (pool != nullptr ? pool : &ThreadPool::shared())
-                       : nullptr;
+    session.pool = pool;
     ThroughputResult res = throughput_exact_lp(net_->graph, *effective,
                                                session);
     res.stats.warm_start = warm_used;
@@ -335,7 +308,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
 
   GkOptions gkopts;
   gkopts.epsilon = opts.epsilon;
-  gkopts.parallel = solve_parallel;
+  gkopts.parallel = pool != nullptr;
   gkopts.pool = pool;
   // Warm solves run the session dynamics (Fleischer-style tree reuse, see
   // GkOptions::reuse_trees). Cross-solve length seeding additionally kicks
@@ -350,22 +323,8 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
                    static_cast<std::uint64_t>(d.dst));
   }
   const bool seed_lengths = warm && fp == gk_tm_fingerprint_;
-  const Timer timer;
   const GkResult r = gk_.solve(*effective, gkopts, seed_lengths);
   gk_tm_fingerprint_ = fp;
-  static const bool debug = [] {
-    const char* s = std::getenv("TOPOBENCH_DEBUG");
-    return s != nullptr && s[0] == '1';
-  }();
-  if (debug) {
-    std::fprintf(stderr,
-                 "[gk] %-28s tm=%-12s flows=%-6zu phases=%-7ld gap=%.3f "
-                 "t=%.4f warm=%d %.2fs\n",
-                 net_->name.c_str(), effective->name.c_str(),
-                 effective->num_flows(), r.phases,
-                 r.throughput > 0 ? r.upper_bound / r.throughput - 1.0 : -1.0,
-                 r.throughput, r.warm_started ? 1 : 0, timer.seconds());
-  }
   ThroughputResult res;
   res.throughput = r.throughput;
   res.upper_bound = r.upper_bound;

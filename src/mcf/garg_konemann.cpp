@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -638,18 +636,6 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
     }
     res.throughput = primal;
     res.max_congestion = cong_total;
-
-    static const bool trace = [] {
-      const char* s = std::getenv("TOPOBENCH_GK_TRACE");
-      return s != nullptr && s[0] == '1';
-    }();
-    if (trace && phase % 500 == 0) {
-      std::fprintf(stderr,
-                   "[gk-trace] phase=%ld primal=%.5f (win=%d) upper=%.5f "
-                   "D=%.3e\n",
-                   phase, primal, best_is_window ? 1 : 0, res.upper_bound,
-                   sum_cl);
-    }
 
     if (res.upper_bound < kInf && primal > 0.0) {
       const double gap = res.upper_bound / primal - 1.0;

@@ -65,11 +65,17 @@ class ThreadPool {
   /// Process-shared dedicated pool of exactly `threads` workers, created on
   /// first request and alive for the process (like shared()). Callers that
   /// honor a `*_threads = N` knob (the MCF engines, the flow cut battery)
-  /// resolve N > 1 here so repeated solves reuse one pool instead of
-  /// spawning and joining N threads per solve. Distinct subsystems sharing
+  /// reach it through resolve(), so repeated solves reuse one pool instead
+  /// of spawning and joining N threads per solve. Distinct subsystems sharing
   /// a pool is safe — parallel_for only queues work — and cannot change
   /// results, by the determinism contracts.
   static ThreadPool& dedicated(std::size_t threads);
+
+  /// Resolve a `*_threads = N` knob to the pool a parallel section runs on:
+  /// null (run serially) for N == 1, shared() for N <= 0, dedicated(N) for
+  /// N > 1 — except on a pool worker, where nested parallel_for inlines
+  /// anyway, so shared() stands in rather than spinning up N idle threads.
+  static ThreadPool* resolve(int threads);
 
  private:
   void worker_loop();

@@ -1,11 +1,13 @@
-// The flow-level half of the PR-5 determinism contract: the CutBattery and
-// the parallel-discharge max-flow engine must be BITWISE identical to their
-// serial counterparts at every thread count. Every assertion here compares
-// exact doubles (EXPECT_EQ, never _NEAR) — "close" would hide a scheduling
-// leak. Suites are named ParallelFlow* so the tsan preset picks them up.
+// The flow-level half of the threaded determinism contract: the CutBattery —
+// the flow layer's one parallel level — and everything built on it must be
+// BITWISE identical to serial st_min_cut loops at every thread count. Every
+// assertion here compares exact doubles (EXPECT_EQ, never _NEAR) — "close"
+// would hide a scheduling leak. Suites are named ParallelFlow* so the tsan
+// preset picks them up.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -70,6 +72,21 @@ void expect_cut_eq(const StCut& a, const StCut& b, const std::string& what) {
   expect_stats_eq(a.stats, b.stats, what);
 }
 
+/// Global min cut as an explicit serial loop on one reused network: the
+/// first strict minimum over the pairs (0, t), stopping at a zero cut.
+StCut serial_global_min_cut(const Graph& g) {
+  FlowNetwork net = FlowNetwork::from_graph(g);
+  StCut best;
+  for (int t = 1; t < g.num_nodes(); ++t) {
+    StCut cut = flow::st_min_cut(g, net, 0, t);
+    if (t == 1 || cut.value < best.value) {
+      best = std::move(cut);
+      if (best.value <= net.tolerance()) break;
+    }
+  }
+  return best;
+}
+
 /// The thread configurations every equivalence below must agree across:
 /// serial, the shared pool, and dedicated pools of 2 and 4 workers.
 std::vector<int> thread_ladder() { return {1, 0, 2, 4}; }
@@ -85,7 +102,9 @@ TEST(ParallelFlow, StMinCutBitwiseAcrossThreadCounts) {
       FlowOptions fo;
       fo.algo = FlowAlgo::HighestLabel;
       fo.threads = threads;
-      expect_cut_eq(flow::st_min_cut(g, s, t, fo), serial,
+      const std::vector<StCut> cuts = CutBattery(g, fo).solve({{s, t}});
+      ASSERT_EQ(cuts.size(), 1u);
+      expect_cut_eq(cuts[0], serial,
                     family_name(f) + " threads=" + std::to_string(threads));
     }
   }
@@ -95,15 +114,15 @@ TEST(ParallelFlow, GlobalMinCutBitwiseAcrossThreadCounts) {
   for (const Family f : all_families()) {
     const Network net = family_representative(f, 16, /*seed=*/7);
     const Graph& g = net.graph;
-    const StCut legacy = flow::global_min_cut(g);
+    const StCut loop = serial_global_min_cut(g);
     for (const int threads : thread_ladder()) {
       FlowOptions fo;
       fo.algo = FlowAlgo::HighestLabel;
       fo.threads = threads;
-      // The battery solves every pair the legacy loop may have skipped
-      // after an early zero-cut break, but the selected cut (stats
-      // included) must be the identical first minimum.
-      expect_cut_eq(flow::global_min_cut(g, fo), legacy,
+      // The battery solves every pair the loop may have skipped after an
+      // early zero-cut break, but the selected cut (stats included) must be
+      // the identical first minimum.
+      expect_cut_eq(flow::global_min_cut(g, fo), loop,
                     family_name(f) + " threads=" + std::to_string(threads));
     }
   }
@@ -193,8 +212,8 @@ TEST(ParallelFlow, BestIndexMatchesSerialSelection) {
     EXPECT_GT(cuts[static_cast<std::size_t>(i)].value,
               cuts[static_cast<std::size_t>(best)].value);
   }
-  expect_cut_eq(cuts[static_cast<std::size_t>(best)], flow::global_min_cut(g),
-                "best_index vs legacy global_min_cut");
+  expect_cut_eq(cuts[static_cast<std::size_t>(best)], serial_global_min_cut(g),
+                "best_index vs serial global min cut loop");
   EXPECT_EQ(CutBattery::best_index({}, battery.tolerance()), -1);
 }
 
@@ -221,75 +240,33 @@ TEST(ParallelFlow, TouchedArcResetRestoresCapacitiesExactly) {
   }
 }
 
-TEST(ParallelFlow, ParallelDischargeBitwiseAcrossThreadCounts) {
-  for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    const Graph g = random_graph(48, 160, seed);
-    const int s = 0;
-    const int t = g.num_nodes() - 1;
-    FlowOptions serial_opts;
-    serial_opts.algo = FlowAlgo::ParallelDischarge;
-    serial_opts.threads = 1;
-    FlowNetwork ref = FlowNetwork::from_graph(g);
-    MaxFlowStats ref_stats;
-    const double ref_value = flow::max_flow(ref, s, t, serial_opts, &ref_stats);
-    for (const int threads : thread_ladder()) {
-      FlowOptions fo = serial_opts;
-      fo.threads = threads;
-      FlowNetwork net = FlowNetwork::from_graph(g);
-      MaxFlowStats stats;
-      const double value = flow::max_flow(net, s, t, fo, &stats);
-      const std::string what =
-          "seed=" + std::to_string(seed) + " threads=" + std::to_string(threads);
-      EXPECT_EQ(value, ref_value) << what;
-      expect_stats_eq(stats, ref_stats, what);
-      for (int a = 0; a < net.num_arcs(); ++a) {
-        ASSERT_EQ(net.residual(a), ref.residual(a)) << what << " arc " << a;
-      }
-    }
-  }
-}
-
-TEST(ParallelFlow, ParallelDischargeAgreesWithReferenceEngines) {
-  for (const std::uint64_t seed : {2u, 23u, 57u}) {
-    const Graph g = random_graph(32, 100, seed);
-    const int s = 0;
-    const int t = g.num_nodes() - 1;
-    FlowNetwork pd_net = FlowNetwork::from_graph(g);
-    FlowNetwork hl_net = FlowNetwork::from_graph(g);
-    FlowNetwork di_net = FlowNetwork::from_graph(g);
-    FlowOptions pd;
-    pd.algo = FlowAlgo::ParallelDischarge;
-    const double pd_value = flow::max_flow(pd_net, s, t, pd, nullptr);
-    const double hl_value =
-        flow::max_flow(hl_net, s, t, FlowAlgo::HighestLabel);
-    const double di_value = flow::max_flow(di_net, s, t, FlowAlgo::Dinic);
-    EXPECT_NEAR(pd_value, hl_value, 1e-9) << "seed " << seed;
-    EXPECT_NEAR(pd_value, di_value, 1e-9) << "seed " << seed;
-    // And its residual state is a real max flow: the extracted cut
-    // certifies it (st_min_cut throws on a duality violation).
-    FlowOptions auto_pd;
-    auto_pd.algo = FlowAlgo::ParallelDischarge;
-    const StCut cut = flow::st_min_cut(g, s, t, auto_pd);
-    EXPECT_NEAR(cut.value, hl_value, 1e-9);
-  }
-}
-
-TEST(ParallelFlow, CutoffPredicateDependsOnInstanceOnly) {
+TEST(ParallelFlow, AutoResolvesToHighestLabelAtAnySize) {
   const Graph small = random_graph(10, 10, /*seed=*/1);
   const Graph big = random_graph(70, 4'100, /*seed=*/1);
   const FlowNetwork small_net = FlowNetwork::from_graph(small);
-  const FlowNetwork big_net = FlowNetwork::from_graph(big);
-  EXPECT_FALSE(flow::parallel_discharge_cutoff(small_net));
-  EXPECT_TRUE(flow::parallel_discharge_cutoff(big_net));
-  // Auto resolves from the instance alone; explicit algos pass through.
+  FlowNetwork big_net = FlowNetwork::from_graph(big);
+  ASSERT_GE(big_net.num_arcs(), 8192);  // the retired engine's old cutoff
   EXPECT_EQ(flow::resolve_flow_algo(small_net, FlowAlgo::Auto),
             FlowAlgo::HighestLabel);
   EXPECT_EQ(flow::resolve_flow_algo(big_net, FlowAlgo::Auto),
-            FlowAlgo::ParallelDischarge);
+            FlowAlgo::HighestLabel);
   EXPECT_EQ(flow::resolve_flow_algo(small_net, FlowAlgo::Dinic),
             FlowAlgo::Dinic);
-  EXPECT_EQ(flow::resolve_flow_algo(big_net, FlowAlgo::HighestLabel),
-            FlowAlgo::HighestLabel);
+  // Auto runs the serial engine bitwise: same value, work and residuals.
+  FlowNetwork hl_net = FlowNetwork::from_graph(big);
+  MaxFlowStats auto_stats;
+  MaxFlowStats hl_stats;
+  const int t = big.num_nodes() - 1;
+  EXPECT_EQ(flow::max_flow(big_net, 0, t, FlowAlgo::Auto, &auto_stats),
+            flow::max_flow(hl_net, 0, t, FlowAlgo::HighestLabel, &hl_stats));
+  expect_stats_eq(auto_stats, hl_stats, "Auto vs HighestLabel");
+  for (int a = 0; a < big_net.num_arcs(); ++a) {
+    ASSERT_EQ(big_net.residual(a), hl_net.residual(a)) << "arc " << a;
+  }
+  // The retired engine is rejected, not silently rerouted.
+  FlowNetwork pd_net = FlowNetwork::from_graph(small);
+  EXPECT_THROW(flow::max_flow(pd_net, 0, 1, FlowAlgo::ParallelDischarge),
+               std::invalid_argument);
 }
 
 TEST(ParallelFlow, CutUpperBoundThreadsNeverChangeTheBound) {

@@ -6,6 +6,10 @@
 # cross-process half of the runner's determinism contract; exp_test covers
 # the in-process half.
 #
+# With -DGOLDEN=<file> the serial CSV must also equal that committed file
+# byte for byte, so a change that moves values fails here even when every
+# thread configuration agrees with every other.
+#
 # With -DSHARD_MERGE=<topobench_merge binary> the script additionally runs
 # the driver sharded — once as the trivial 1-way shard (TOPOBENCH_SHARD=0/1)
 # and once as four separate processes (TOPOBENCH_SHARD=i/4, a real fleet:
@@ -43,8 +47,8 @@ endfunction()
 run_mode(${driver_name}_det_serial.csv TOPOBENCH_THREADS=1)
 run_mode(${driver_name}_det_default.csv)
 run_mode(${driver_name}_det_four.csv TOPOBENCH_THREADS=4)
-# Intra-solve threading (dedicated 4-worker solver pools under the cut
-# battery / parallel-discharge flow engine) must not move a byte either.
+# Intra-solve threading (dedicated 4-worker solver pools under GK, the
+# simplex and the cut battery) must not move a byte either.
 run_mode(${driver_name}_det_solver4.csv TOPOBENCH_SOLVER_THREADS=4)
 
 foreach(other ${driver_name}_det_default.csv ${driver_name}_det_four.csv
@@ -58,6 +62,17 @@ foreach(other ${driver_name}_det_default.csv ${driver_name}_det_four.csv
       "${other} differs from the serial CSV — the runner lost determinism")
   endif()
 endforeach()
+
+if(DEFINED GOLDEN)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+      ${GOLDEN} ${WORK_DIR}/${driver_name}_det_serial.csv
+    RESULT_VARIABLE golden_rc)
+  if(NOT golden_rc EQUAL 0)
+    message(FATAL_ERROR "${driver_name}_det_serial.csv differs from ${GOLDEN} "
+      "— the driver's values moved")
+  endif()
+endif()
 
 if(DEFINED SHARD_MERGE)
   run_mode(${driver_name}_det_shard_0of1.csv TOPOBENCH_SHARD=0/1)

@@ -259,6 +259,22 @@ TEST(ThreadPool, NestedParallelForAcrossDistinctPoolsRunsInline) {
   }
 }
 
+TEST(ThreadPool, ResolveMapsThreadKnobToPool) {
+  // The one `*_threads` resolution shared by the MCF engines and the cut
+  // battery: 1 = serial, <= 0 = shared, N > 1 = the process-shared
+  // dedicated pool of N — but never a dedicated pool from a worker.
+  EXPECT_EQ(ThreadPool::resolve(1), nullptr);
+  EXPECT_EQ(ThreadPool::resolve(0), &ThreadPool::shared());
+  EXPECT_EQ(ThreadPool::resolve(-3), &ThreadPool::shared());
+  EXPECT_EQ(ThreadPool::resolve(2), &ThreadPool::dedicated(2));
+  ThreadPool outer(2);
+  std::array<ThreadPool*, 2> nested{};
+  outer.parallel_for(0, 2, [&](std::size_t i) {
+    nested[i] = ThreadPool::resolve(i == 0 ? 1 : 3);
+  });
+  EXPECT_EQ(nested[0], nullptr);
+  EXPECT_EQ(nested[1], &ThreadPool::shared());
+}
 
 TEST(EnvKnobs, IntKnobParsesClampsAndRejects) {
   ::unsetenv("TOPOBENCH_TEST_KNOB");
