@@ -15,7 +15,7 @@
 //                      scenario riding along so the tm_scale column is
 //                      exercised on the bench path too
 //
-// Runs on the experiment runner (failures mode): TOPOBENCH_CSV=1 emits the
+// Runs on the experiment runner (scenario axis): TOPOBENCH_CSV=1 emits the
 // uniform cell CSV, TOPOBENCH_TARGET_SERVERS sizes the representative
 // instances, TOPOBENCH_FAIL_STEPS in [1, 4] selects how many failure
 // fractions of {2%, 5%, 10%, 20%} to sweep. Deterministic for any thread

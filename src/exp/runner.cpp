@@ -67,14 +67,6 @@ std::string config_fingerprint(const Sweep& s) {
       key += p.label;
     }
   }
-  if (s.growth_steps > 0) {
-    // Growth cells derive their installed-switch counts from the axis
-    // shape and start fraction, so both are configuration identity (the
-    // per-step labels alone would collide across different growth_start).
-    std::snprintf(buf, sizeof(buf), "|grow|%d|%.17g", s.growth_steps,
-                  s.growth_start);
-    key += buf;
-  }
   return key;
 }
 
@@ -88,43 +80,24 @@ std::string cache_key(const std::string& topo, const std::string& tm,
 }
 
 std::string scenario_label_of(const Sweep& sweep, const Cell& c) {
-  if (!sweep.scenarios.empty()) return sweep.scenarios[c.scenario].label;
-  if (sweep.growth_steps > 0) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "grow(step=%d/%d)",
-                  static_cast<int>(c.scenario), sweep.growth_steps);
-    return buf;
-  }
-  return {};
-}
-
-/// Installed-switch count at growth stage `step`: a linear ladder from
-/// round(n * growth_start) (clamped to >= 2) up to the full instance,
-/// which the final stage always is.
-int growth_installed(const Sweep& sweep, int num_nodes, int step) {
-  const int steps = sweep.growth_steps;
-  if (step >= steps - 1) return num_nodes;
-  const double frac =
-      sweep.growth_start +
-      (1.0 - sweep.growth_start) * step / static_cast<double>(steps - 1);
-  const int installed = static_cast<int>(std::llround(frac * num_nodes));
-  return std::max(2, std::min(num_nodes, installed));
+  return sweep.scenarios.empty() ? std::string()
+                                 : sweep.scenarios[c.scenario].label;
 }
 
 void validate_modes(const Sweep& sweep) {
   if (!sweep.scenarios.empty()) {
     if (sweep.trials > 0) {
       throw std::invalid_argument(
-          "Runner::run: failures mode requires absolute mode (trials == 0)");
+          "Runner::run: a scenario axis requires absolute mode (trials == 0)");
     }
     if (sweep.cut_bounds) {
       throw std::invalid_argument(
-          "Runner::run: failures mode does not support cut bounds");
+          "Runner::run: a scenario axis does not support cut bounds");
     }
     if (sweep.warm_start) {
       throw std::invalid_argument(
-          "Runner::run: failures mode does not support warm-start chains "
-          "(each failure cell already warm-starts internally)");
+          "Runner::run: a scenario axis does not support warm-start chains "
+          "(each scenario cell already warm-starts internally)");
     }
     for (const ScenarioPoint& p : sweep.scenarios) {
       if (p.label.empty()) {
@@ -135,37 +108,6 @@ void validate_modes(const Sweep& sweep) {
   if (sweep.warm_start && sweep.trials > 0) {
     throw std::invalid_argument(
         "Runner::run: warm-start chains require absolute mode (trials == 0)");
-  }
-  if (sweep.warm_start && sweep.cut_bounds) {
-    throw std::invalid_argument(
-        "Runner::run: warm-start chains do not support cut bounds");
-  }
-  if (sweep.growth_steps < 0) {
-    throw std::invalid_argument("Runner::run: negative growth_steps");
-  }
-  if (sweep.growth_steps > 0) {
-    if (!sweep.scenarios.empty()) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode and a scenario axis are mutually "
-          "exclusive (both occupy the third grid axis)");
-    }
-    if (sweep.trials > 0) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode requires absolute mode (trials == 0)");
-    }
-    if (sweep.cut_bounds) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode does not support cut bounds");
-    }
-    if (sweep.warm_start) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode does not support warm-start chains "
-          "(each growth cell already warm-starts internally)");
-    }
-    if (!(sweep.growth_start > 0.0) || sweep.growth_start > 1.0) {
-      throw std::invalid_argument(
-          "Runner::run: growth_start must be in (0, 1]");
-    }
   }
 }
 
@@ -234,7 +176,7 @@ CellResult Runner::eval_cell(const Sweep& sweep,
                              const mcf::SolveOptions& solve,
                              const std::string& topo_label, const Network& net,
                              const TmSpec& tm_spec, std::size_t cell_index,
-                             mcf::ThroughputEngine* engine, bool warm) const {
+                             mcf::ThroughputEngine* engine) const {
   CellResult r;
   const std::uint64_t cell_seed = mix_seed(sweep.base_seed, cell_index);
   fill_cell_identity(r, cell_index, topo_label, net, tm_spec.label, cell_seed,
@@ -242,10 +184,12 @@ CellResult Runner::eval_cell(const Sweep& sweep,
   const TrafficMatrix tm = tm_spec.build(net, mix_seed(cell_seed, 0));
   if (sweep.trials <= 0) {
     r.trials = 0;
+    // A chain runs wholly in session mode: its first cell has no previous
+    // solution to seed from but still gets the session dynamics (see
+    // ThroughputEngine::warm_solve).
     const mcf::ThroughputResult t =
-        engine != nullptr
-            ? (warm ? engine->warm_solve(tm, solve) : engine->solve(tm, solve))
-            : mcf::compute_throughput(net, tm, solve);
+        engine != nullptr ? engine->warm_solve(tm, solve)
+                          : mcf::compute_throughput(net, tm, solve);
     r.throughput = t.throughput;
     record_stats(r, t.stats);
   } else {
@@ -291,10 +235,7 @@ void Runner::eval_failure_group(const Sweep& sweep,
                                 const Network& net, const TmSpec& tm_spec,
                                 const std::vector<std::size_t>& cell_indices,
                                 std::vector<CellResult>& out) const {
-  const bool growth = sweep.scenarios.empty();
-  const std::size_t num_scenarios =
-      growth ? static_cast<std::size_t>(sweep.growth_steps)
-             : sweep.scenarios.size();
+  const std::size_t num_scenarios = sweep.scenarios.size();
   // The group's TM comes from its scenario-0 cell stream so every scenario
   // of the group degrades the same instance (see the header contract); the
   // flat expansion is scenario-minor, so that cell is the group's floor.
@@ -304,22 +245,19 @@ void Runner::eval_failure_group(const Sweep& sweep,
       net, mix_seed(mix_seed(sweep.base_seed, first_index), 0));
   // Per-cell failure sampling: each scenario keeps drawing from its own
   // cell's stream after the cut sampler's (trials + 2), so the batch shape
-  // never leaks into the sampled failure sets. Growth stages use no
-  // sampling — their spec is the uninstalled node tail — but carry the
-  // same seed for uniformity.
+  // never leaks into the sampled failure sets. A growth point additionally
+  // fails the uninstalled node tail of this instance.
   std::vector<mcf::ScenarioSpec> specs;
   specs.reserve(cell_indices.size());
   for (const std::size_t index : cell_indices) {
-    mcf::ScenarioSpec spec;
-    if (growth) {
-      const int installed = growth_installed(
-          sweep, net.graph.num_nodes(), static_cast<int>(index % num_scenarios));
-      for (int v = installed; v < net.graph.num_nodes(); ++v) {
-        spec.failed_nodes.push_back(v);
-      }
-      spec.drop_failed_node_demands = true;
-    } else {
-      spec = sweep.scenarios[index % num_scenarios].spec;
+    const ScenarioPoint& point = sweep.scenarios[index % num_scenarios];
+    mcf::ScenarioSpec spec = point.spec;
+    if (point.growth_step >= 0) {
+      const int n = net.graph.num_nodes();
+      const int installed = std::max(
+          2, std::min(n, static_cast<int>(
+                             std::llround(point.installed_fraction * n))));
+      for (int v = installed; v < n; ++v) spec.failed_nodes.push_back(v);
     }
     spec.seed = mix_seed(mix_seed(sweep.base_seed, index),
                          static_cast<std::uint64_t>(sweep.trials) + 2);
@@ -332,15 +270,12 @@ void Runner::eval_failure_group(const Sweep& sweep,
       degraded_throughput_batch(net, tm, specs, solve, parallel_);
   for (std::size_t k = 0; k < cell_indices.size(); ++k) {
     const std::size_t index = cell_indices[k];
-    const std::size_t step = index % num_scenarios;
+    const ScenarioPoint& point = sweep.scenarios[index % num_scenarios];
     CellResult& r = out[index];
     fill_cell_identity(r, index, topo_label, net, tm_spec.label,
                        mix_seed(sweep.base_seed, index), solve);
     r.trials = 0;
-    Cell c;
-    c.index = index;
-    c.scenario = step;
-    r.scenario = scenario_label_of(sweep, c);
+    r.scenario = point.label;
     r.throughput = deg[k].degraded;
     r.failed_links = deg[k].failed_links;
     r.throughput_drop = deg[k].drop;
@@ -349,14 +284,9 @@ void Runner::eval_failure_group(const Sweep& sweep,
     // sentinels non-fleet cells keep).
     r.risk_group = deg[k].failed_groups;
     r.tm_scale = specs[k].tm_scale;
-    r.growth_step = growth ? static_cast<int>(step) : -1;
+    r.growth_step = point.growth_step;
     record_stats(r, deg[k].stats);
   }
-}
-
-ResultSet Runner::run(const Sweep& sweep) {
-  // Deprecated shim: the env contract lives in RunOptions::from_env().
-  return run(sweep, RunOptions::from_env());
 }
 
 ResultSet Runner::run(const Sweep& sweep, const RunOptions& opts) {
@@ -394,8 +324,21 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
   }
   store::ResultStore* store = opts.store.get();
 
+  // Evaluation units are aligned blocks of the flat grid: a cell, a
+  // (topology, TM) fleet group spanning the scenario axis, or with
+  // warm_start a topology's TM chain. A fleet group evaluates only its
+  // missing in-range cells. A chain is all-or-nothing: it is answered from
+  // the cache/store only when every one of its cells is present (re-solving
+  // part of a chain would change the warm seeds of the rest), and a chain
+  // the shard's range merely intersects still runs (or hits) whole, because
+  // its in-range cells' values depend on the chain prefix.
+  const bool chains = sweep.warm_start;
+  const std::size_t unit_size =
+      chains ? sweep.tms.size()
+             : std::max<std::size_t>(1, sweep.scenarios.size());
   std::vector<CellResult> out(cells.size());
-  std::vector<std::size_t> misses;  // cell indices needing evaluation
+  // Each evaluated unit's missing cell indices, in cell order.
+  std::vector<std::vector<std::size_t>> units;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     // Tiered probe: memory first, then the on-disk store (a disk hit is
@@ -423,151 +366,75 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
       return cache_.find(key) != cache_.end() ||
              (store != nullptr && store->contains(key));
     };
-    if (!sweep.warm_start) {
-      for (std::size_t index = range.lo; index < range.hi; ++index) {
-        const Cell& c = cells[index];
-        if (const CellResult* hit = probe(c)) {
-          out[c.index] = *hit;
-          out[c.index].cell = c.index;
+    const std::size_t first_unit = range.lo / unit_size;
+    const std::size_t last_unit =
+        range.hi == range.lo ? first_unit : (range.hi - 1) / unit_size + 1;
+    for (std::size_t u = first_unit; u < last_unit; ++u) {
+      const std::size_t lo = u * unit_size;
+      const std::size_t hi = lo + unit_size;
+      const std::size_t first = chains ? lo : std::max(range.lo, lo);
+      const std::size_t end = chains ? hi : std::min(range.hi, hi);
+      bool all_present = true;
+      for (std::size_t index = first; chains && all_present && index < end;
+           ++index) {
+        all_present = present(cells[index]);
+      }
+      std::vector<std::size_t> unit_misses;
+      for (std::size_t index = first; index < end; ++index) {
+        if (const CellResult* hit = all_present ? probe(cells[index])
+                                                : nullptr) {
+          out[index] = *hit;
+          out[index].cell = index;
           // The column echoes the *sweep-requested* configuration
           // (results.h); the cached row may have been computed under a
           // different one.
-          out[c.index].solver_threads = sweep.solve.solver_threads;
+          out[index].solver_threads = sweep.solve.solver_threads;
         } else {
-          misses.push_back(c.index);
+          unit_misses.push_back(index);
         }
       }
-    } else {
-      // Warm mode: a topology chain is answered from the cache/store only
-      // when every one of its cells is present — re-solving part of a
-      // chain would change the warm seeds of the rest. A chain a shard's
-      // range merely intersects still runs (or hits) whole: its in-range
-      // cells' values depend on the chain prefix, so trimming the chain to
-      // the range would change bytes.
-      const std::size_t per_topo = sweep.tms.size();
-      const std::size_t first_topo = range.lo / per_topo;
-      const std::size_t last_topo =
-          range.hi == range.lo ? first_topo : (range.hi - 1) / per_topo + 1;
-      for (std::size_t t = first_topo; t < last_topo; ++t) {
-        bool all_hit = true;
-        for (std::size_t m = 0; m < per_topo && all_hit; ++m) {
-          all_hit = present(cells[t * per_topo + m]);
-        }
-        for (std::size_t m = 0; m < per_topo; ++m) {
-          const std::size_t index = t * per_topo + m;
-          const Cell& c = cells[index];
-          if (all_hit) {
-            const CellResult* hit = probe(c);
-            out[c.index] = *hit;
-            out[c.index].cell = c.index;
-            out[c.index].solver_threads = sweep.solve.solver_threads;
-          } else {
-            misses.push_back(c.index);
-          }
-        }
-      }
+      if (!unit_misses.empty()) units.push_back(std::move(unit_misses));
     }
   }
 
   // Build only the topologies that still have cells to evaluate (a fully
-  // cached re-run pays no build cost); cells of a topology share the
-  // instance.
+  // cached re-run pays no build cost); a unit never spans two topologies.
   std::vector<std::shared_ptr<const Network>> nets(sweep.topologies.size());
-  for (const std::size_t index : misses) {
-    const Cell& c = cells[index];
-    if (!nets[c.topo]) nets[c.topo] = sweep.topologies[c.topo].build();
+  for (const std::vector<std::size_t>& unit : units) {
+    const std::size_t t = cells[unit.front()].topo;
+    if (!nets[t]) nets[t] = sweep.topologies[t].build();
   }
 
-  ThreadPool& pool = ThreadPool::shared();
-  if (!sweep.scenarios.empty() || sweep.growth_steps > 0) {
-    // Failures/growth mode: the missing cells of each (topology, TM) pair
-    // form one ScenarioFleet batch (a shared baseline + per-scenario
-    // degraded solves; growth stages are node-tail scenarios). Groups run
-    // concurrently — the fleet's own parallelism inlines on pool workers —
-    // and per-scenario results are independent of the batch shape, so
-    // output stays byte-identical for any thread count and any cache
-    // state.
-    struct FleetGroup {
-      std::size_t topo = 0;
-      std::size_t tm = 0;
-      std::vector<std::size_t> cell_indices;  // misses, in cell order
-    };
-    std::vector<FleetGroup> groups;
-    for (const std::size_t index : misses) {
-      const Cell& c = cells[index];
-      if (groups.empty() || groups.back().topo != c.topo ||
-          groups.back().tm != c.tm) {
-        groups.push_back({c.topo, c.tm, {}});
-      }
-      groups.back().cell_indices.push_back(index);
-    }
-    const auto eval_group = [&](std::size_t k) {
-      const FleetGroup& grp = groups[k];
-      eval_failure_group(sweep, solve, sweep.topologies[grp.topo].label,
-                         *nets[grp.topo], sweep.tms[grp.tm], grp.cell_indices,
+  // Units run concurrently, each writing its cells' own slots; everything
+  // below the barrier is a deterministic reduction in cell order. A single
+  // unit stays on the calling thread, so a fleet group's own per-scenario
+  // fan-out (gated by parallel_ too) still gets the pool. Per-scenario
+  // fleet results are independent of the batch shape and a chain's order is
+  // the TM order, so output is byte-identical for any thread count and any
+  // cache state.
+  const auto eval_unit = [&](std::size_t k) {
+    const std::vector<std::size_t>& unit = units[k];
+    const Cell& head = cells[unit.front()];
+    const std::string& label = sweep.topologies[head.topo].label;
+    const Network& net = *nets[head.topo];
+    if (!sweep.scenarios.empty()) {
+      eval_failure_group(sweep, solve, label, net, sweep.tms[head.tm], unit,
                          out);
-    };
-    if (parallel_ && groups.size() > 1 && pool.size() > 1) {
-      pool.parallel_for(0, groups.size(), eval_group);
-    } else {
-      for (std::size_t k = 0; k < groups.size(); ++k) eval_group(k);
+      return;
     }
-  } else if (!sweep.warm_start) {
-    // Evaluate the missing cells — concurrently when allowed — writing each
-    // result into its own slot; everything below the barrier is a
-    // deterministic reduction in cell order.
-    const auto eval = [&](std::size_t k) {
-      const Cell& c = cells[misses[k]];
-      out[c.index] = eval_cell(sweep, solve, sweep.topologies[c.topo].label,
-                               *nets[c.topo], sweep.tms[c.tm], c.index,
-                               /*engine=*/nullptr, /*warm=*/false);
-    };
-    if (parallel_ && misses.size() > 1 && pool.size() > 1) {
-      pool.parallel_for(0, misses.size(), eval);
-    } else {
-      for (std::size_t k = 0; k < misses.size(); ++k) eval(k);
+    std::optional<mcf::ThroughputEngine> engine;
+    if (chains) engine.emplace(net);
+    for (const std::size_t index : unit) {
+      out[index] = eval_cell(sweep, solve, label, net,
+                             sweep.tms[cells[index].tm], index,
+                             engine ? &*engine : nullptr);
     }
+  };
+  ThreadPool& pool = ThreadPool::shared();
+  if (parallel_ && units.size() > 1 && pool.size() > 1) {
+    pool.parallel_for(0, units.size(), eval_unit);
   } else {
-    // Warm mode: one chain per topology with misses (misses are whole
-    // topologies by construction). Chains run concurrently; within a chain
-    // the TM order fixes the warm seeds, so results are thread-count
-    // invariant.
-    const std::size_t per_topo = sweep.tms.size();
-    std::vector<std::size_t> chain_topos;
-    for (const std::size_t index : misses) {
-      const std::size_t t = index / per_topo;
-      if (chain_topos.empty() || chain_topos.back() != t) {
-        chain_topos.push_back(t);
-      }
-    }
-    const auto eval_chain = [&](std::size_t k) {
-      const std::size_t t = chain_topos[k];
-      mcf::ThroughputEngine engine(*nets[t]);
-      for (std::size_t m = 0; m < per_topo; ++m) {
-        const std::size_t index = t * per_topo + m;
-        // The whole chain runs in session mode (the first cell has no
-        // previous solution to seed from but still gets the session
-        // dynamics; see ThroughputEngine::warm_solve).
-        out[index] = eval_cell(sweep, solve, sweep.topologies[t].label,
-                               *nets[t], sweep.tms[m], index, &engine,
-                               /*warm=*/true);
-      }
-    };
-    if (parallel_ && chain_topos.size() > 1 && pool.size() > 1) {
-      pool.parallel_for(0, chain_topos.size(), eval_chain);
-    } else {
-      for (std::size_t k = 0; k < chain_topos.size(); ++k) eval_chain(k);
-    }
-  }
-
-  // The solver_threads column echoes the sweep's requested configuration,
-  // never the execution-time merge above: TOPOBENCH_SOLVER_THREADS (like
-  // TOPOBENCH_THREADS) is a pure execution knob, and the determinism
-  // entries require it to move no CSV byte. Normalizing before the
-  // write-through also keeps stored bytes identical across env settings
-  // (ResultStore::put throws on a byte mismatch for the same key).
-  for (const std::size_t index : misses) {
-    out[index].solver_threads = sweep.solve.solver_threads;
+    for (std::size_t k = 0; k < units.size(); ++k) eval_unit(k);
   }
 
   {
@@ -579,11 +446,21 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
     const bool persist =
         store != nullptr &&
         store->mode() == store::ResultStore::Mode::ReadWrite;
-    for (const std::size_t index : misses) {
-      const std::string key = cell_result_key(sweep, cells[index]);
-      if (persist) store->put(key, out[index]);
-      cache_.emplace(std::move(key), out[index]);
-      ++stats_.misses;
+    for (const std::vector<std::size_t>& unit : units) {
+      for (const std::size_t index : unit) {
+        // The solver_threads column echoes the sweep's requested
+        // configuration, never the execution-time merge above:
+        // TOPOBENCH_SOLVER_THREADS (like TOPOBENCH_THREADS) is a pure
+        // execution knob, and the determinism entries require it to move no
+        // CSV byte. Normalizing before the write-through also keeps stored
+        // bytes identical across env settings (ResultStore::put throws on a
+        // byte mismatch for the same key).
+        out[index].solver_threads = sweep.solve.solver_threads;
+        const std::string key = cell_result_key(sweep, cells[index]);
+        if (persist) store->put(key, out[index]);
+        cache_.emplace(std::move(key), out[index]);
+        ++stats_.misses;
+      }
     }
   }
 

@@ -6,55 +6,51 @@
 // trial t in [1..trials] draws its same-equipment graph from
 // mix_seed(base, cell, t). When Sweep::cut_bounds is set, the cut-bound
 // sampler draws from mix_seed(base, cell, trials + 1) — the stream after
-// the last trial — and when the sweep has a failure axis, the scenario's
+// the last trial — and when the sweep has a scenario axis, the scenario's
 // random-failure sampler draws from mix_seed(base, cell, trials + 2), the
 // stream after the cut sampler, so enabling either perturbs no existing
-// column. Cells run concurrently on ThreadPool::shared()
+// column. Evaluation units (below) run concurrently on ThreadPool::shared()
 // (nested solver parallelism degrades inline — see thread_pool.h) and the
 // ResultSet is assembled after the barrier in cell order, so for a fixed
 // base seed the output is byte-identical for any thread count, including
 // TOPOBENCH_THREADS=1.
 //
-// Failures mode (Sweep::scenarios non-empty): the missing cells of each
-// (topology, TM) pair evaluate as one mcf::ScenarioFleet batch — a single
-// cold baseline solve, then every scenario warm-solved on a forked clone of
-// the baseline session — so a grid of S scenarios pays one baseline instead
-// of S. The group's TM is built from its scenario-0 cell stream
-// (mix_seed(base, first_cell, 0)): every scenario of the group degrades the
-// same instance, which is what makes the shared baseline (and the drop
-// column) meaningful; each scenario's failure sampler still draws from its
-// own cell's stream mix_seed(base, cell, trials + 2). Groups run
-// concurrently and per-scenario fleet results are independent of batch
-// shape, so the determinism contract is unchanged. Requires absolute mode
-// (trials == 0, no cut bounds, no warm chains).
+// Third axis (Sweep::scenarios non-empty): every (topology, TM) pair is
+// evaluated once per scenario point — link/group failures, surges, growth
+// stages (see growth_scenarios), in any mix. The group's TM is built from
+// its scenario-0 cell stream (mix_seed(base, first_cell, 0)): every point
+// of the group degrades the same instance, which is what makes the shared
+// baseline (and the drop column) meaningful; each point's failure sampler
+// still draws from its own cell's stream mix_seed(base, cell, trials + 2).
+// A growth point fails the uninstalled node tail of the instance with
+// dropped demands and records its stage in the growth_step column. A
+// scenario axis requires absolute mode (trials == 0, no cut bounds, no
+// warm chains).
 //
-// Growth mode (Sweep::growth_steps > 0): the third grid axis becomes an
-// incremental-expansion ladder instead of a scenario list — stage g of a
-// (topology, TM) group fails the uninstalled node tail (see
-// Sweep::growth_steps for the installed-count formula) with dropped
-// demands, evaluated through the same fleet machinery: one full-network
-// baseline, each stage warm-solved on a fork. Stage labels
-// ("grow(step=<g>/<steps>)") fill the scenario column and the growth_step
-// column records g; early stages may be disconnected, which deterministically
-// reports throughput 0. Same mode constraints and caching/sharding
-// behavior as failures mode; the axis shape and start fraction are part of
-// the configuration fingerprint.
+// Evaluation units: the Runner probes and schedules aligned blocks of the
+// flat grid. A unit is
+//   - a cell (no scenario axis, no warm_start);
+//   - a (topology, TM) fleet group: its missing cells evaluate as one
+//     mcf::ScenarioFleet batch — a single cold baseline solve, then every
+//     scenario warm-solved on a forked clone of the baseline session — so
+//     S scenarios pay one baseline instead of S;
+//   - with Sweep::warm_start, a topology chain: its TM cells run in TM order
+//     on one shared ThroughputEngine (first solve cold, the rest seeded from
+//     the previous solution), so values differ from cold ones within the
+//     solver's certified gap. A chain is all-or-nothing: it is answered
+//     from the cache only when ALL its cells hit — otherwise the whole chain
+//     re-evaluates (a partial chain would change the warm seeds).
+// Units run concurrently on the shared pool when there is more than one;
+// a lone unit runs on the calling thread, so a fleet group's own
+// per-scenario fan-out keeps the pool. Per-scenario fleet results are
+// independent of batch shape and chain order is fixed, so the determinism
+// contract holds for every unit kind.
 //
 // Solver threading: Runner::run seeds SolveOptions::solver_threads from
 // TOPOBENCH_SOLVER_THREADS when the sweep leaves it 0. By the solver
 // determinism contracts the knob never changes values — it is recorded in
 // the solver_threads column (the requested configuration, not a measured
 // count) and deliberately excluded from cache identity like `parallel`.
-//
-// Warm-start mode (Sweep::warm_start): the evaluation unit becomes the
-// topology, not the cell — each topology's TM cells run as one ordered
-// chain on a shared ThroughputEngine (first solve cold, the rest seeded
-// from the previous solution). Topologies still run concurrently and a
-// chain's order is the TM order, so results remain thread-count invariant;
-// they differ from cold results within the solver's certified gap. A
-// topology is answered from the cache only when ALL its cells hit —
-// otherwise the whole chain re-evaluates (a partial chain would change the
-// warm seeds). Requires absolute mode without scenarios or cut bounds.
 //
 // Cache contract: results are memoized under (topology label, TM label,
 // scenario label, cell seed, solver + cut-bound + warm configuration,
@@ -156,32 +152,24 @@ class Runner {
   Runner(const Runner&) = delete;
   Runner& operator=(const Runner&) = delete;
 
-  /// Deprecated shim, kept for source compatibility: identical to
-  /// run(sweep, RunOptions::from_env()) — honors TOPOBENCH_SHARD,
-  /// TOPOBENCH_SOLVER_THREADS and TOPOBENCH_STORE, throwing
-  /// std::invalid_argument when any is set but malformed. New code should
-  /// call the options-taking overload with an explicit RunOptions (use
-  /// RunOptions::from_env() to keep the env contract).
-  ResultSet run(const Sweep& sweep);
-
-  /// Evaluate `sweep` under `opts` and return results in cell order.
-  /// Throws std::invalid_argument on an empty grid, an invalid mode
-  /// combination (see the failures / warm-start contracts above), or an
-  /// engaged-but-invalid opts.shard.
+  /// Evaluate `sweep` under `opts` and return results in cell order (pass
+  /// RunOptions::from_env() for the environment contract). Throws
+  /// std::invalid_argument on an empty grid, an invalid mode combination (a
+  /// scenario axis with trials, cut bounds or warm_start; an empty scenario
+  /// label; warm_start with trials), or an engaged-but-invalid opts.shard.
   ResultSet run(const Sweep& sweep, const RunOptions& opts);
 
   const CacheStats& cache_stats() const noexcept { return stats_; }
 
  private:
-  /// Evaluate one non-failure cell. `engine` is non-null in warm-start
-  /// mode (the topology chain's shared session; `warm` selects warm_solve
-  /// for every chain position after the first).
+  /// Evaluate one cell without a scenario axis. `engine` is the topology
+  /// chain's shared session with warm_start, null otherwise.
   CellResult eval_cell(const Sweep& sweep, const mcf::SolveOptions& solve,
                        const std::string& topo_label, const Network& net,
                        const TmSpec& tm, std::size_t cell_index,
-                       mcf::ThroughputEngine* engine, bool warm) const;
+                       mcf::ThroughputEngine* engine) const;
 
-  /// Evaluate the missing cells of one (topology, TM) failure group as a
+  /// Evaluate the missing cells of one (topology, TM) fleet group as a
   /// ScenarioFleet batch, writing each cell's result into `out` (indexed by
   /// flat cell index). `cell_indices` holds the group's missing cells in
   /// cell order.

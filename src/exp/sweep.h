@@ -41,17 +41,24 @@ struct TmSpec {
   std::function<TrafficMatrix(const Network&, std::uint64_t seed)> build;
 };
 
-/// One point of a sweep's failure axis: a labeled degraded-network
+/// One point of a sweep's scenario axis: a labeled degraded-network
 /// scenario. The label is the row/cache identity of the scenario (like
 /// TopoSpec labels, equal labels must mean equal specs); the spec's seed is
 /// overridden per cell by the runner (see runner.h).
 struct ScenarioPoint {
   std::string label;
   mcf::ScenarioSpec spec;
+  /// Growth points only (set by growth_scenarios; -1 elsewhere): the
+  /// stage recorded in the growth_step column. The runner then also fails
+  /// every switch of an n-switch instance past the first
+  /// round(installed_fraction * n), clamped to [2, n], as node failures
+  /// (with the spec's default of dropping their demands).
+  int growth_step = -1;
+  double installed_fraction = 1.0;
 };
 
-/// The grid: every topology crossed with every TM family (and, in failures
-/// mode, every scenario).
+/// The grid: every topology crossed with every TM family (and, when the
+/// scenario axis is non-empty, every scenario).
 struct Sweep {
   std::vector<TopoSpec> topologies;
   std::vector<TmSpec> tms;
@@ -63,44 +70,31 @@ struct Sweep {
   bool cut_bounds = false;     ///< fill the cut_bound/cut_gap/cut_method
                                ///< columns via core's cut_upper_bound
   CutBoundOptions cut_bound_opts;  ///< seed is overridden per cell
-  /// Failures mode: when non-empty, the grid gains a scenario axis — each
-  /// (topology, TM) pair is evaluated once per scenario via
-  /// core's degraded_throughput, filling the scenario / failed_links /
-  /// throughput_drop columns (throughput is the degraded value). Requires
-  /// absolute mode (trials == 0) without cut bounds; the runner throws
-  /// otherwise.
+  /// The scenario axis: when non-empty, each (topology, TM) pair is
+  /// evaluated once per point via core's degraded_throughput, filling the
+  /// scenario / failed_links / throughput_drop / risk_group / tm_scale /
+  /// growth_step columns (throughput is the degraded value). Points of any
+  /// kind (failures, surges, growth stages) may mix in one axis. Requires
+  /// absolute mode (trials == 0) without cut bounds or warm_start; the
+  /// runner throws otherwise.
   std::vector<ScenarioPoint> scenarios;
-  /// Growth mode: when growth_steps > 0, the grid gains a growth axis
-  /// instead of a scenario one — each (topology, TM) pair is evaluated at
-  /// growth_steps incremental-expansion stages of the instance (the
-  /// Jellyfish expansion story): stage g keeps the first
-  /// round(n * (growth_start + (1 - growth_start) * g / (steps - 1)))
-  /// switches installed (all of them at the final stage) by failing the
-  /// uninstalled tail as node failures with dropped demands, warm-solved
-  /// from the full-network baseline like any other scenario fleet. Labels
-  /// are "grow(step=<g>/<steps>)"; the growth_step column records g.
-  /// Mutually exclusive with `scenarios`; requires absolute mode without
-  /// cut bounds or warm_start (the runner throws otherwise).
-  int growth_steps = 0;
-  /// First installed fraction of the growth ladder, in (0, 1].
-  double growth_start = 0.5;
-  /// Warm-start mode: evaluate each topology's TM cells as one ordered
+  /// Warm-start chains: evaluate each topology's TM cells as one ordered
   /// chain on a shared ThroughputEngine, seeding every solve after the
   /// first from the previous solution (GK lengths / LP basis). Chains stay
   /// deterministic (topologies run concurrently, a chain runs in TM
   /// order); results agree with cold ones within the certified gap, not
-  /// bitwise. Requires absolute mode without scenarios.
+  /// bitwise. Requires absolute mode without scenarios; cut bounds (which
+  /// do not depend on the solve) are bitwise the cold sweep's.
   bool warm_start = false;
 };
 
 /// One cell of the expanded grid: indices into the sweep's topology, TM,
-/// and (failures mode) scenario lists plus the flat expansion index that
-/// seeds the cell.
+/// and scenario lists plus the flat expansion index that seeds the cell.
 struct Cell {
   std::size_t index = 0;
   std::size_t topo = 0;
   std::size_t tm = 0;
-  std::size_t scenario = 0;  ///< always 0 outside failures mode
+  std::size_t scenario = 0;  ///< always 0 without a scenario axis
 };
 
 /// Row-major (topology-major) expansion:
@@ -166,6 +160,16 @@ ScenarioPoint surge_scenario(double scale);
 /// Diurnal hotspot surge: round(fraction * num_demands) seeded demands
 /// additionally scaled by `factor`, labeled "hotspot(f=<f>,x=<factor>)".
 ScenarioPoint hotspot_scenario(double fraction, double factor);
+
+/// Incremental-expansion ladder (the Jellyfish growth story), one point per
+/// stage g in [0, steps) with installed_fraction
+/// f_g = 0.5 + 0.5 * g / (steps - 1) (1 at the final stage, which is the
+/// full instance): the uninstalled switch tail fails as node failures with
+/// dropped demands. Labeled "grow(step=<g>/<steps>)"; the growth_step
+/// column records g. Early stages may be disconnected, which
+/// deterministically reports throughput 0. Throws std::invalid_argument
+/// when steps < 1.
+std::vector<ScenarioPoint> growth_scenarios(int steps);
 
 // --- environment knobs (shared by every driver) -------------------------
 // Solver accuracy, trial counts and sweep sizes can be tightened from the

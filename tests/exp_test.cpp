@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "exp/runner.h"
@@ -72,10 +74,10 @@ TEST(Sweep, TmSpecsAreSeedDriven) {
 TEST(Runner, CacheAnswersRepeatedCellsWithoutReevaluating) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner runner;
-  const exp::ResultSet first = runner.run(sweep);
+  const exp::ResultSet first = runner.run(sweep, {});
   EXPECT_EQ(runner.cache_stats().misses, 2u);
   EXPECT_EQ(runner.cache_stats().hits, 0u);
-  const exp::ResultSet second = runner.run(sweep);
+  const exp::ResultSet second = runner.run(sweep, {});
   EXPECT_EQ(runner.cache_stats().misses, 2u);  // same cells evaluated once
   EXPECT_EQ(runner.cache_stats().hits, 2u);
   EXPECT_EQ(first.to_csv(), second.to_csv());
@@ -90,7 +92,7 @@ TEST(Runner, CacheAnswersRepeatedCellsWithoutReevaluating) {
 TEST(Runner, CacheInsertionOrderCannotLeakIntoCsvBytes) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner forward;
-  const std::string baseline = forward.run(sweep).to_csv();
+  const std::string baseline = forward.run(sweep, {}).to_csv();
 
   exp::Runner reversed;
   exp::RunOptions back;
@@ -99,7 +101,7 @@ TEST(Runner, CacheInsertionOrderCannotLeakIntoCsvBytes) {
   front.shard = exp::ShardSpec{0, 2};
   (void)reversed.run(sweep, back);   // cell 1 inserted first
   (void)reversed.run(sweep, front);  // then cell 0
-  const std::string replayed = reversed.run(sweep).to_csv();
+  const std::string replayed = reversed.run(sweep, {}).to_csv();
   EXPECT_EQ(reversed.cache_stats().hits, 2u);  // pure cache replay
   EXPECT_EQ(replayed, baseline);
 }
@@ -107,10 +109,10 @@ TEST(Runner, CacheInsertionOrderCannotLeakIntoCsvBytes) {
 TEST(Runner, CacheDistinguishesSolverAndTrialConfig) {
   exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner runner;
-  (void)runner.run(sweep);
+  (void)runner.run(sweep, {});
   exp::Sweep tighter = sweep;
   tighter.solve.kind = mcf::SolverKind::ExactLP;
-  (void)runner.run(tighter);
+  (void)runner.run(tighter, {});
   // Different solver configuration must not be answered from the cache.
   EXPECT_EQ(runner.cache_stats().misses, 4u);
 }
@@ -126,7 +128,7 @@ TEST(Runner, SerialAndParallelProduceIdenticalCsv) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/2);
   exp::Runner serial(/*parallel=*/false);
   exp::Runner parallel(/*parallel=*/true);
-  EXPECT_EQ(serial.run(sweep).to_csv(), parallel.run(sweep).to_csv());
+  EXPECT_EQ(serial.run(sweep, {}).to_csv(), parallel.run(sweep, {}).to_csv());
 }
 
 TEST(Runner, RelativeCellsMatchDirectEvaluatorCall) {
@@ -135,7 +137,7 @@ TEST(Runner, RelativeCellsMatchDirectEvaluatorCall) {
   // (cell_seed = mix_seed(base, cell), trial t = mix_seed(base, cell, t)).
   const exp::Sweep sweep = tiny_sweep(/*trials=*/2, /*base_seed=*/42);
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, {});
   ASSERT_EQ(rs.size(), 2u);
   const std::shared_ptr<const Network> built = sweep.topologies[0].build();
   const Network& net = *built;
@@ -251,7 +253,7 @@ TEST(Runner, CallerAuthoredSpecLabelIsRowIdentity) {
   sweep.topologies = {{"hc16", registry.build}};
   sweep.tms = {exp::a2a_tm()};
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, {});
   ASSERT_EQ(rs.size(), 1u);
   EXPECT_EQ(rs.rows()[0].topology, "hc16");
   EXPECT_GT(rs.at("hc16", "A2A").throughput, 0.0);
@@ -288,7 +290,7 @@ TEST(Results, JsonEscapesControlCharactersAndNonFinite) {
 TEST(Results, AtFindsCellAndThrowsOnMiss) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, {});
   const exp::CellResult& cell = rs.at(sweep.topologies[0].label, "LM");
   EXPECT_EQ(cell.tm, "LM");
   EXPECT_GT(cell.throughput, 0.0);
@@ -299,7 +301,7 @@ TEST(Runner, CutBoundColumnsFilledWhenEnabled) {
   exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   sweep.cut_bounds = true;
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, {});
   ASSERT_EQ(rs.size(), 2u);
   for (const exp::CellResult& r : rs.rows()) {
     // Hypercube(16) under A2A/LM solves via ExactLP, so the certified cut
@@ -312,7 +314,7 @@ TEST(Runner, CutBoundColumnsFilledWhenEnabled) {
   }
   // Disabled sweeps must keep the sentinel (and a distinct cache entry).
   exp::Sweep off = tiny_sweep(/*trials=*/0);
-  const exp::ResultSet rs_off = runner.run(off);
+  const exp::ResultSet rs_off = runner.run(off, {});
   EXPECT_TRUE(std::isnan(rs_off.rows()[0].cut_bound));
   EXPECT_TRUE(rs_off.rows()[0].cut_method.empty());
   EXPECT_EQ(runner.cache_stats().hits, 0u);
@@ -343,7 +345,7 @@ TEST(Runner, FailureCellsFillScenarioColumnsDeterministically) {
   sweep.scenarios = exp::random_failure_scenarios({0.15});
   sweep.scenarios.push_back(exp::degrade_scenario(0.5));
   exp::Runner serial(/*parallel=*/false);
-  const exp::ResultSet rs = serial.run(sweep);
+  const exp::ResultSet rs = serial.run(sweep, {});
   ASSERT_EQ(rs.size(), 4u);  // 1 topo x 2 tms x 2 scenarios
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_FALSE(r.scenario.empty());
@@ -362,7 +364,7 @@ TEST(Runner, FailureCellsFillScenarioColumnsDeterministically) {
   // single byte of the emitted CSV (failure sampling is per-cell seeded).
   if (ThreadPool::shared().size() > 1) {
     exp::Runner parallel(/*parallel=*/true);
-    EXPECT_EQ(parallel.run(sweep).to_csv(), rs.to_csv());
+    EXPECT_EQ(parallel.run(sweep, {}).to_csv(), rs.to_csv());
   }
 }
 
@@ -382,10 +384,10 @@ TEST(Runner, FailureCacheKeysIncludeScenarioAxisShape) {
   b.scenarios = {exp::degrade_scenario(0.8), exp::degrade_scenario(0.5)};
 
   exp::Runner shared_runner;
-  (void)shared_runner.run(a);
-  const std::string b_after_a = shared_runner.run(b).to_csv();
+  (void)shared_runner.run(a, {});
+  const std::string b_after_a = shared_runner.run(b, {}).to_csv();
   exp::Runner fresh_runner;
-  EXPECT_EQ(fresh_runner.run(b).to_csv(), b_after_a);
+  EXPECT_EQ(fresh_runner.run(b, {}).to_csv(), b_after_a);
 }
 
 TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
@@ -393,7 +395,7 @@ TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
   sweep.solve.kind = mcf::SolverKind::GargKonemann;  // exercise GK sessions
   sweep.warm_start = true;
   exp::Runner serial(/*parallel=*/false);
-  const exp::ResultSet rs = serial.run(sweep);
+  const exp::ResultSet rs = serial.run(sweep, {});
   ASSERT_EQ(rs.size(), 2u);
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_EQ(r.warm, 1);  // whole chain runs in session mode
@@ -402,18 +404,18 @@ TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
   }
   if (ThreadPool::shared().size() > 1) {
     exp::Runner parallel(/*parallel=*/true);
-    EXPECT_EQ(parallel.run(sweep).to_csv(), rs.to_csv());
+    EXPECT_EQ(parallel.run(sweep, {}).to_csv(), rs.to_csv());
   }
   // Warm results are cached under a distinct fingerprint: a cold re-run of
   // the same grid must not be answered from warm entries (or vice versa).
   exp::Sweep cold = sweep;
   cold.warm_start = false;
   exp::Runner runner;
-  (void)runner.run(sweep);
-  (void)runner.run(cold);
+  (void)runner.run(sweep, {});
+  (void)runner.run(cold, {});
   EXPECT_EQ(runner.cache_stats().misses, 4u);
   // A warm re-run hits only when the whole chain is cached.
-  (void)runner.run(sweep);
+  (void)runner.run(sweep, {});
   EXPECT_EQ(runner.cache_stats().hits, 2u);
 }
 
@@ -428,35 +430,120 @@ TEST(Runner, WarmCacheKeysIncludeChainIdentity) {
   exp::Sweep b = a;
   b.tms = {exp::random_matching_tm(1), exp::longest_matching_tm()};
   exp::Runner runner;
-  (void)runner.run(a);
-  const std::string b_first = runner.run(b).to_csv();
+  (void)runner.run(a, {});
+  const std::string b_first = runner.run(b, {}).to_csv();
   EXPECT_EQ(runner.cache_stats().hits, 0u);  // no cross-chain answers
   EXPECT_EQ(runner.cache_stats().misses, 4u);
-  EXPECT_EQ(runner.run(b).to_csv(), b_first);  // exact re-run, b's own bytes
+  // An exact re-run reproduces b's own bytes.
+  EXPECT_EQ(runner.run(b, {}).to_csv(), b_first);
   EXPECT_EQ(runner.cache_stats().hits, 2u);
 }
 
 TEST(Runner, ModeValidationRejectsUnsupportedCombinations) {
+  // The five surviving rejections: a scenario axis with trials, with cut
+  // bounds or with warm_start; an empty scenario label; warm_start with
+  // trials.
   exp::Runner runner;
   exp::Sweep failures = tiny_sweep(/*trials=*/2);
   failures.scenarios = exp::random_failure_scenarios({0.1});
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);  // trials > 0
+  EXPECT_THROW(runner.run(failures, {}), std::invalid_argument);  // trials > 0
   failures.trials = 0;
   failures.cut_bounds = true;
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);
+  EXPECT_THROW(runner.run(failures, {}), std::invalid_argument);
   failures.cut_bounds = false;
   failures.warm_start = true;
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);
+  EXPECT_THROW(runner.run(failures, {}), std::invalid_argument);
   failures.warm_start = false;
   failures.scenarios[0].label.clear();
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);  // empty label
+  EXPECT_THROW(runner.run(failures, {}), std::invalid_argument);  // empty label
 
   exp::Sweep warm = tiny_sweep(/*trials=*/2);
   warm.warm_start = true;
-  EXPECT_THROW(runner.run(warm), std::invalid_argument);  // relative + warm
-  warm.trials = 0;
-  warm.cut_bounds = true;
-  EXPECT_THROW(runner.run(warm), std::invalid_argument);
+  EXPECT_THROW(runner.run(warm, {}), std::invalid_argument);  // relative + warm
+  EXPECT_THROW(exp::growth_scenarios(0), std::invalid_argument);
+  EXPECT_EQ(runner.cache_stats().misses, 0u);  // nothing was evaluated
+}
+
+TEST(Runner, WarmChainCutBoundsMatchColdOnes) {
+  // Cut bounds never read the solve, so a warm chain's cut columns are
+  // bitwise the cold sweep's; only throughput (and so cut_gap) may move.
+  exp::Sweep cold = tiny_sweep(/*trials=*/0);
+  cold.solve.kind = mcf::SolverKind::GargKonemann;
+  cold.solve.epsilon = 0.1;
+  cold.cut_bounds = true;
+  exp::Sweep warm = cold;
+  warm.warm_start = true;
+  exp::Runner runner;
+  const exp::ResultSet c = runner.run(cold, {});
+  const exp::ResultSet w = runner.run(warm, {});
+  EXPECT_EQ(runner.cache_stats().hits, 0u);  // warm keys are distinct
+  ASSERT_EQ(c.size(), w.size());
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(w.rows()[i].warm, 1) << i;
+    EXPECT_FALSE(std::isnan(w.rows()[i].cut_bound)) << i;
+    EXPECT_EQ(w.rows()[i].cut_bound, c.rows()[i].cut_bound) << i;
+    EXPECT_EQ(w.rows()[i].cut_method, c.rows()[i].cut_method) << i;
+  }
+}
+
+/// A key with its '\x1f' separators shown as '^', so literals stay legible.
+std::string visible_key(std::string key) {
+  std::replace(key.begin(), key.end(), '\x1f', '^');
+  return key;
+}
+
+std::vector<std::string> visible_keys(const exp::Sweep& sweep) {
+  std::vector<std::string> keys;
+  for (const exp::Cell& c : exp::expand(sweep)) {
+    keys.push_back(visible_key(exp::cell_result_key(sweep, c)));
+  }
+  return keys;
+}
+
+TEST(Runner, StoreKeysAndGridFingerprintsArePinned) {
+  // Pinned literals: populated result stores and shard slices written by
+  // earlier builds must keep matching these keys and fingerprints.
+  const std::string cfg = "k0|e0.029999999999999999|s36|z4096";
+  const std::string a2a = "Hypercube(d=4)^A2A^";
+  const std::string lm = "Hypercube(d=4)^LM^";
+  const std::string s0 = "^14492901801971347100^";
+  const std::string s1 = "^16606341431729822688^";
+
+  const exp::Sweep absolute = tiny_sweep(/*trials=*/0);
+  EXPECT_EQ(exp::grid_fingerprint(absolute), 14937970660070682590ULL);
+  EXPECT_EQ(visible_keys(absolute),
+            (std::vector<std::string>{a2a + s0 + cfg + "^0",
+                                      lm + s1 + cfg + "^0"}));
+
+  exp::Sweep relative = tiny_sweep(/*trials=*/2);
+  relative.cut_bounds = true;
+  EXPECT_EQ(exp::grid_fingerprint(relative), 7306339704736648180ULL);
+  const std::string cut = cfg + "|cb|f10000|q8|b1^2";
+  EXPECT_EQ(visible_keys(relative),
+            (std::vector<std::string>{a2a + s0 + cut, lm + s1 + cut}));
+
+  exp::Sweep fleet = tiny_sweep(/*trials=*/0);
+  fleet.scenarios = exp::random_failure_scenarios({0.1, 0.2});
+  fleet.scenarios.push_back(exp::degrade_scenario(0.5));
+  EXPECT_EQ(exp::grid_fingerprint(fleet), 6183548905874743901ULL);
+  const std::string fcfg =
+      cfg + "|fleet^fail(f=0.1)^fail(f=0.2)^degrade(c=0.5)^0";
+  EXPECT_EQ(visible_keys(fleet),
+            (std::vector<std::string>{
+                a2a + "fail(f=0.1)" + s0 + fcfg,
+                a2a + "fail(f=0.2)" + s1 + fcfg,
+                a2a + "degrade(c=0.5)^3087800874610593453^" + fcfg,
+                lm + "fail(f=0.1)^5516119557057021658^" + fcfg,
+                lm + "fail(f=0.2)^4964158847722509089^" + fcfg,
+                lm + "degrade(c=0.5)^1610747294385609138^" + fcfg}));
+
+  exp::Sweep warm = tiny_sweep(/*trials=*/0);
+  warm.solve.kind = mcf::SolverKind::GargKonemann;
+  warm.warm_start = true;
+  EXPECT_EQ(exp::grid_fingerprint(warm), 2701268251264503866ULL);
+  const std::string wcfg = "k2|e0.029999999999999999|s36|z4096|warm^A2A^LM^0";
+  EXPECT_EQ(visible_keys(warm),
+            (std::vector<std::string>{a2a + s0 + wcfg, lm + s1 + wcfg}));
 }
 
 TEST(Rng, ThreeWayMixMatchesNestedTwoWayMix) {

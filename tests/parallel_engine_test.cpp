@@ -177,7 +177,7 @@ TEST(ScenarioFleet, NestedInRunnerFailuresSweepEmitsIdenticalCsv) {
     for (const int threads : {1, 4}) {
       sweep.solve.solver_threads = threads;
       exp::Runner runner(parallel_cells);
-      const std::string csv = runner.run(sweep).to_csv();
+      const std::string csv = runner.run(sweep, {}).to_csv();
       // The configuration echo column is the only allowed difference.
       exp::ResultSet rs = exp::ResultSet::from_csv(csv);
       for (const exp::CellResult& r : rs.rows()) {

@@ -377,16 +377,37 @@ exp::Sweep growth_sweep() {
   s.topologies = {exp::representative_spec(Family::Hypercube, 16, 1)};
   s.tms = {exp::a2a_tm()};
   s.solve.kind = mcf::SolverKind::ExactLP;
-  s.growth_steps = 3;
-  s.growth_start = 0.5;
+  s.scenarios = exp::growth_scenarios(3);
   s.base_seed = 5;
   return s;
+}
+
+TEST(GrowthSweep, CsvIsPinned) {
+  // Pinned bytes of the growth ladder (start fraction 0.5): growth points
+  // must keep reproducing them exactly.
+  exp::Runner runner;
+  EXPECT_EQ(
+      runner.run(growth_sweep(), {}).to_csv(),
+      "cell,topology,servers,switches,tm,seed,solver,trials,throughput,"
+      "random_mean,random_ci95,relative,relative_ci95,cut_bound,cut_gap,"
+      "cut_method,scenario,failed_links,throughput_drop,risk_group,tm_scale,"
+      "growth_step,pivots,phases,dijkstras,pushes,relabels,global_relabels,"
+      "warm,solver_threads\n"
+      "0,Hypercube(d=4),16,16,A2A,14492901801971347100,exact-lp,0,"
+      "4.0000000000000009,na,na,na,na,na,na,,grow(step=0/3),20,"
+      "-0.99999999999949596,0,1,0,175,0,0,0,0,0,0,0\n"
+      "1,Hypercube(d=4),16,16,A2A,16606341431729822688,exact-lp,0,"
+      "2.0000000000001044,na,na,na,na,na,na,,grow(step=1/3),12,"
+      "2.0006218903745321e-13,0,1,1,2467,0,0,0,0,0,0,0\n"
+      "2,Hypercube(d=4),16,16,A2A,3087800874610593453,exact-lp,0,"
+      "1.9999999999999991,na,na,na,na,na,na,,grow(step=2/3),0,"
+      "2.5268676040468563e-13,0,1,2,0,0,0,0,0,0,1,0\n");
 }
 
 TEST(GrowthSweep, FillsColumnsAndFinalStageMatchesIntact) {
   const exp::Sweep sweep = growth_sweep();
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, {});
   ASSERT_EQ(rs.size(), 3u);
   for (int g = 0; g < 3; ++g) {
     const exp::CellResult& r = rs.rows()[static_cast<std::size_t>(g)];
@@ -399,9 +420,9 @@ TEST(GrowthSweep, FillsColumnsAndFinalStageMatchesIntact) {
   // The final stage is the full instance: its (exact) throughput matches a
   // plain absolute sweep of the same grid.
   exp::Sweep plain = growth_sweep();
-  plain.growth_steps = 0;
+  plain.scenarios.clear();
   exp::Runner plain_runner;
-  const exp::ResultSet intact = plain_runner.run(plain);
+  const exp::ResultSet intact = plain_runner.run(plain, {});
   ASSERT_EQ(intact.size(), 1u);
   EXPECT_NEAR(rs.rows()[2].throughput, intact.rows()[0].throughput, 1e-9);
   EXPECT_EQ(intact.rows()[0].growth_step, -1);  // non-fleet cell keeps NA
@@ -411,14 +432,14 @@ TEST(GrowthSweep, SerialAndParallelCsvIdentical) {
   const exp::Sweep sweep = growth_sweep();
   exp::Runner serial(/*parallel=*/false);
   exp::Runner parallel(/*parallel=*/true);
-  EXPECT_EQ(serial.run(sweep).to_csv(), parallel.run(sweep).to_csv());
+  EXPECT_EQ(serial.run(sweep, {}).to_csv(), parallel.run(sweep, {}).to_csv());
 }
 
 TEST(GrowthSweep, ShardedMergeReproducesUnshardedBytes) {
   const exp::Sweep sweep = growth_sweep();
   exp::Runner whole;
   const std::string expected =
-      "# growth\n" + whole.run(sweep).to_csv() + "\n";
+      "# growth\n" + whole.run(sweep, {}).to_csv() + "\n";
   std::string cat;
   for (std::size_t i = 0; i < 2; ++i) {
     exp::Runner shard_runner;  // fresh runner: a separate machine
@@ -433,25 +454,53 @@ TEST(GrowthSweep, ShardedMergeReproducesUnshardedBytes) {
 }
 
 TEST(GrowthSweep, ModeValidationRejectsBadCombos) {
+  // Growth points are ordinary scenario points: the scenario-axis
+  // rejections apply to them, and mixing them with failures is legal.
   exp::Runner runner;
   exp::Sweep s = growth_sweep();
-  s.scenarios = exp::random_failure_scenarios({0.1});
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
-  s = growth_sweep();
   s.trials = 2;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, {}), std::invalid_argument);
   s = growth_sweep();
   s.warm_start = true;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, {}), std::invalid_argument);
   s = growth_sweep();
   s.cut_bounds = true;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, {}), std::invalid_argument);
   s = growth_sweep();
-  s.growth_start = 0.0;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  s.scenarios[1].label.clear();
+  EXPECT_THROW(runner.run(s, {}), std::invalid_argument);
   s = growth_sweep();
-  s.growth_steps = -1;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  s.warm_start = true;
+  s.scenarios.clear();
+  s.trials = 2;
+  EXPECT_THROW(runner.run(s, {}), std::invalid_argument);
+  EXPECT_THROW(exp::growth_scenarios(0), std::invalid_argument);
+  EXPECT_THROW(exp::growth_scenarios(-1), std::invalid_argument);
+  EXPECT_EQ(runner.cache_stats().misses, 0u);
+}
+
+TEST(GrowthSweep, GrowthPointsMixedWithFailuresMatchPureGrowthCells) {
+  // Growth points ahead of failure points keep their flat indices (and so
+  // their seeds and the group's TM stream), so their rows are bitwise the
+  // pure growth sweep's.
+  const exp::Sweep pure = growth_sweep();
+  exp::Sweep mixed = growth_sweep();
+  for (const exp::ScenarioPoint& p : exp::random_failure_scenarios({0.1})) {
+    mixed.scenarios.push_back(p);
+  }
+  exp::Runner runner;
+  const exp::ResultSet a = runner.run(pure, {});
+  const exp::ResultSet b = runner.run(mixed, {});
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(b.rows()[3].scenario, "fail(f=0.1)");
+  EXPECT_EQ(b.rows()[3].growth_step, -1);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    exp::ResultSet row_a;
+    row_a.add(a.rows()[i]);
+    exp::ResultSet row_b;
+    row_b.add(b.rows()[i]);
+    EXPECT_EQ(row_b.to_csv(), row_a.to_csv()) << i;
+  }
 }
 
 // --- correlated failures through the sweep --------------------------------
@@ -468,8 +517,8 @@ TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
 
   exp::Runner serial(/*parallel=*/false);
   exp::Runner parallel(/*parallel=*/true);
-  const exp::ResultSet rs = parallel.run(sweep);
-  EXPECT_EQ(serial.run(sweep).to_csv(), rs.to_csv());
+  const exp::ResultSet rs = parallel.run(sweep, {});
+  EXPECT_EQ(serial.run(sweep, {}).to_csv(), rs.to_csv());
 
   ASSERT_EQ(rs.size(), 3u);
   const std::size_t groups =
