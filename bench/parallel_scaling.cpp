@@ -1,7 +1,7 @@
 // Intra-solve parallel scaling, the threaded-determinism proof for the
 // bench trajectory: runs the fig04 TM-ladder grid three times in-process
 // with SolveOptions::solver_threads = 1 (fully serial solver paths), 2,
-// and 4 (dedicated worker pools), on a serial runner so the solver-level
+// and 4 (dedicated worker pools), one cell at a time so the solver-level
 // parallelism is the only concurrency. Every threaded row must be
 // field-for-field bitwise identical to the serial one — throughput values,
 // GK phase/Dijkstra counters, simplex pivots — which is the engine's
@@ -52,19 +52,28 @@ int main(int argc, char** argv) {
   sweep.tms = {exp::a2a_tm(), exp::random_matching_tm(5),
                exp::random_matching_tm(1), exp::longest_matching_tm()};
 
-  // One run per thread count on a cell-serial runner (fresh per run: the
-  // in-process cache ignores solver_threads by design, so a shared runner
-  // would answer the later runs from the first). The solver pool is the
-  // only concurrency, so the timing ratio isolates intra-solve scaling.
+  // One run per thread count on a fresh runner (the in-process cache
+  // ignores solver_threads by design, so a shared runner would answer the
+  // later runs from the first). Each cell runs as its own one-cell shard,
+  // which the runner evaluates on the calling thread, so the solver pool is
+  // the only concurrency and the timing ratio isolates intra-solve scaling.
   const int thread_counts[] = {1, 2, 4};
+  const std::size_t cells = sweep.topologies.size() * sweep.tms.size();
+  exp::RunOptions run_opts = exp::RunOptions::from_env();
   std::vector<exp::ResultSet> results;
   std::vector<double> seconds;
   for (const int threads : thread_counts) {
     sweep.solve.solver_threads = threads;
-    exp::Runner runner(/*parallel=*/false);
+    exp::Runner runner;
+    exp::ResultSet rs;
     Timer timer;
-    results.push_back(runner.run(sweep, exp::RunOptions::from_env()));
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      run_opts.shard = exp::ShardSpec{cell, cells};
+      const exp::ResultSet slice = runner.run(sweep, run_opts);
+      for (const exp::CellResult& r : slice.rows()) rs.add(r);
+    }
     seconds.push_back(timer.seconds());
+    results.push_back(std::move(rs));
   }
 
   bool identical = true;

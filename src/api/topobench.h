@@ -172,11 +172,9 @@ struct ServiceConfig {
   /// read-write (created if absent; single-writer flock enforced).
   bool store_read_only = false;
   /// Intra-solve worker threads when a query leaves the choice open
-  /// (0 = shared pool; never changes result bytes).
+  /// (0 = shared pool; never changes result bytes). Cells always fan out
+  /// over the shared pool, sized by TOPOBENCH_THREADS.
   int solver_threads = 0;
-  /// false pins every cell to the calling thread (results are identical
-  /// either way by the determinism contract; this is a scheduling knob).
-  bool parallel = true;
 
   /// The one environment loader (strict — malformed values throw
   /// std::invalid_argument; see util/env.h):

@@ -24,10 +24,10 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
   }
 
   // The random-graph trials are independent solves; run them on the shared
-  // pool when the caller allows it. Each trial derives its seed from its
-  // index and writes only its own slot, and the summary is reduced after
-  // the barrier, so the result is bit-identical to the serial path for a
-  // fixed seed regardless of thread count.
+  // pool. Each trial derives its seed from its index and writes only its
+  // own slot, and the summary is reduced after the barrier, so the result
+  // is bit-identical to the serial path for a fixed seed regardless of
+  // thread count.
   std::vector<double> samples(static_cast<std::size_t>(opts.random_trials));
   const auto run_trial = [&](std::size_t trial) {
     const Network rnd = make_same_equipment_random(
@@ -35,7 +35,7 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
     samples[trial] = mcf::compute_throughput(rnd, tm, opts.solve).throughput;
   };
   ThreadPool& pool = ThreadPool::shared();
-  if (opts.solve.parallel && opts.random_trials > 1 && pool.size() > 1) {
+  if (opts.random_trials > 1 && pool.size() > 1) {
     pool.parallel_for(0, samples.size(), run_trial);
   } else {
     for (std::size_t trial = 0; trial < samples.size(); ++trial) {
@@ -102,10 +102,10 @@ DegradedResult degraded_throughput(const Network& net, const TrafficMatrix& tm,
 std::vector<DegradedResult> degraded_throughput_batch(
     const Network& net, const TrafficMatrix& tm,
     const std::vector<mcf::ScenarioSpec>& scenarios,
-    const mcf::SolveOptions& solve, bool parallel_cells) {
+    const mcf::SolveOptions& solve) {
   mcf::ScenarioFleet fleet(net);
   const std::vector<mcf::FleetCell> cells =
-      fleet.evaluate(tm, scenarios, solve, parallel_cells);
+      fleet.evaluate(tm, scenarios, solve);
   std::vector<DegradedResult> out(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     out[i].baseline = cells[i].baseline;

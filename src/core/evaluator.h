@@ -33,7 +33,9 @@ struct RelativeResult {
 };
 
 /// Throughput of `net` under `tm`, normalized by same-equipment random
-/// graphs evaluated under the *same* TM (endpoints map one-to-one).
+/// graphs evaluated under the *same* TM (endpoints map one-to-one). The
+/// trials fan out over the shared pool (inline on a pool worker); each
+/// seeds from its index, so the result is bitwise that of a serial loop.
 /// Throws std::invalid_argument if `opts.random_trials < 1` and
 /// std::runtime_error if the random graphs achieve zero throughput.
 RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
@@ -100,8 +102,7 @@ DegradedResult degraded_throughput(const Network& net, const TrafficMatrix& tm,
 
 /// Batch form on mcf::ScenarioFleet: one cold baseline solve for the whole
 /// batch, every scenario warm-solved from a forked clone of the baseline
-/// session, clones distributed over the shared pool (`parallel_cells`
-/// false keeps the fan-out on the calling thread — see
+/// session, clones distributed over the shared pool (see
 /// ScenarioFleet::evaluate). Per-scenario results are bitwise identical to
 /// calling degraded_throughput once per scenario (any thread count); only
 /// the wall clock and the baseline solve count differ. Results are in
@@ -109,6 +110,6 @@ DegradedResult degraded_throughput(const Network& net, const TrafficMatrix& tm,
 std::vector<DegradedResult> degraded_throughput_batch(
     const Network& net, const TrafficMatrix& tm,
     const std::vector<mcf::ScenarioSpec>& scenarios,
-    const mcf::SolveOptions& solve = {}, bool parallel_cells = true);
+    const mcf::SolveOptions& solve = {});
 
 }  // namespace tb

@@ -4,41 +4,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/env.h"
 #include "util/table.h"
 
 namespace tb::exp {
 namespace {
-
-constexpr const char* kCsvHeader =
-    "cell,topology,servers,switches,tm,seed,solver,trials,throughput,"
-    "random_mean,random_ci95,relative,relative_ci95,cut_bound,cut_gap,"
-    "cut_method,scenario,failed_links,throughput_drop,risk_group,tm_scale,"
-    "growth_step,pivots,phases,dijkstras,pushes,relabels,global_relabels,"
-    "warm,solver_threads";
-
-constexpr std::size_t kNumColumns = 30;
-
-/// failed_links uses -1 as its NA sentinel (0 is a real count).
-std::string int_or_na(int v) { return v < 0 ? "na" : std::to_string(v); }
-
-/// %.17g round-trips every finite double exactly; NaN becomes "na".
-std::string num(double v) {
-  if (std::isnan(v)) return "na";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Shorter rendering for the human-readable table view.
-std::string num_short(double v) {
-  if (std::isnan(v)) return "na";
-  return Table::fmt(v, 4);
-}
 
 std::string csv_quote(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
@@ -82,50 +58,169 @@ std::vector<std::string> csv_split(const std::string& line) {
   return fields;
 }
 
-double parse_num(const std::string& s) {
-  if (s == "na") return std::numeric_limits<double>::quiet_NaN();
-  return std::strtod(s.c_str(), nullptr);
-}
+// --- value kinds ----------------------------------------------------------
+// Each kind renders a value exactly once per surface — CSV field, text-table
+// cell, json::Value — and parses the CSV field back strictly: parse()
+// accepts exactly what csv() can emit and returns false on anything else.
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        // Remaining control characters are illegal raw inside a JSON
-        // string literal; labels can legally contain them (the CSV path
-        // round-trips them), so escape rather than reject.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// Integers: decimal in CSV and the table, a JSON number.
+template <typename T>
+struct Integer {
+  static std::string csv(T v) { return std::to_string(v); }
+  static std::string text(T v) { return csv(v); }
+  static json::Value json_value(T v) {
+    return json::Value::number_v(static_cast<double>(v));
   }
-  return out;
+  /// The field must be the std::to_string rendering of the value it parses
+  /// to, which rejects blanks, signs on unsigned kinds, leading zeros,
+  /// fractions, trailing bytes and overflow.
+  static bool parse(const std::string& s, T& v) {
+    if constexpr (std::is_signed_v<T>) {
+      v = static_cast<T>(std::strtoll(s.c_str(), nullptr, 10));
+    } else {
+      v = static_cast<T>(std::strtoull(s.c_str(), nullptr, 10));
+    }
+    return std::to_string(v) == s;
+  }
+};
+
+using Index = Integer<std::size_t>;
+using Int = Integer<int>;
+using Counter = Integer<long>;
+
+/// The 64-bit cell seed: a JSON number is a double and cannot hold every
+/// mix_seed value, so JSON carries it as a decimal string.
+struct Seed : Integer<std::uint64_t> {
+  static json::Value json_value(std::uint64_t v) {
+    return json::Value::string_v(std::to_string(v));
+  }
+};
+
+/// An int whose NA sentinel is -1 ("na" / null), since 0 is a real count.
+struct NaInt {
+  static std::string csv(int v) { return v < 0 ? "na" : std::to_string(v); }
+  static std::string text(int v) { return csv(v); }
+  static json::Value json_value(int v) {
+    return v < 0 ? json::Value::null() : json::Value::number_v(v);
+  }
+  static bool parse(const std::string& s, int& v) {
+    if (s == "na") {
+      v = -1;
+      return true;
+    }
+    return Int::parse(s, v) && v >= 0;
+  }
+};
+
+/// A double: %.17g in CSV (round-trips every finite value; NaN is "na",
+/// infinite cut bounds are "inf"), 4 digits in the table, and null in JSON
+/// for NaN and infinities, which JSON cannot spell.
+struct Real {
+  static std::string csv(double v) {
+    if (std::isnan(v)) return "na";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+  }
+  static std::string text(double v) {
+    return std::isnan(v) ? "na" : Table::fmt(v, 4);
+  }
+  static json::Value json_value(double v) {
+    return std::isfinite(v) ? json::Value::number_v(v) : json::Value::null();
+  }
+  static bool parse(const std::string& s, double& v) {
+    if (s == "na") {
+      v = std::numeric_limits<double>::quiet_NaN();
+      return true;
+    }
+    // %.17g spells only digits, sign, point, exponent and "inf": this
+    // excludes blanks, hex floats and "nan" before strtod can accept them.
+    if (s.empty() || s.find_first_not_of("0123456789+-.eEinf") !=
+                         std::string::npos) {
+      return false;
+    }
+    char* end = nullptr;
+    v = std::strtod(s.c_str(), &end);
+    return end == s.c_str() + s.size();
+  }
+};
+
+/// A label: RFC-4180 quoted in CSV only when it must be.
+struct Text {
+  static std::string csv(const std::string& s) { return csv_quote(s); }
+  static std::string text(const std::string& s) { return s; }
+  static json::Value json_value(const std::string& s) {
+    return json::Value::string_v(s);
+  }
+  static bool parse(const std::string& s, std::string& v) {
+    v = s;
+    return true;
+  }
+};
+
+/// A label that is empty when its column does not apply: "na" in the
+/// table, null in JSON.
+struct OptText : Text {
+  static std::string text(const std::string& s) { return s.empty() ? "na" : s; }
+  static json::Value json_value(const std::string& s) {
+    return s.empty() ? json::Value::null() : json::Value::string_v(s);
+  }
+};
+
+// --- the column table -----------------------------------------------------
+
+struct Column {
+  const char* name;
+  std::string (*csv)(const CellResult&);
+  std::string (*text)(const CellResult&);
+  json::Value (*json_value)(const CellResult&);
+  bool (*parse)(const std::string&, CellResult&);
+};
+
+template <typename Kind, auto Member>
+constexpr Column column(const char* name) {
+  return {name, [](const CellResult& r) { return Kind::csv(r.*Member); },
+          [](const CellResult& r) { return Kind::text(r.*Member); },
+          [](const CellResult& r) { return Kind::json_value(r.*Member); },
+          [](const std::string& s, CellResult& r) {
+            return Kind::parse(s, r.*Member);
+          }};
 }
 
-/// JSON has no NaN or Infinity literals; non-finite values become null
-/// (infinite cut bounds arise from TMs no cut separates).
-std::string json_num(double v) { return std::isfinite(v) ? num(v) : "null"; }
+/// The one declaration of the record schema: column order, names and
+/// kinds for CSV, the store, the text table and JSON alike.
+constexpr Column kColumns[] = {
+    column<Index, &CellResult::cell>("cell"),
+    column<Text, &CellResult::topology>("topology"),
+    column<Int, &CellResult::servers>("servers"),
+    column<Int, &CellResult::switches>("switches"),
+    column<Text, &CellResult::tm>("tm"),
+    column<Seed, &CellResult::seed>("seed"),
+    column<Text, &CellResult::solver>("solver"),
+    column<Int, &CellResult::trials>("trials"),
+    column<Real, &CellResult::throughput>("throughput"),
+    column<Real, &CellResult::random_mean>("random_mean"),
+    column<Real, &CellResult::random_ci95>("random_ci95"),
+    column<Real, &CellResult::relative>("relative"),
+    column<Real, &CellResult::relative_ci95>("relative_ci95"),
+    column<Real, &CellResult::cut_bound>("cut_bound"),
+    column<Real, &CellResult::cut_gap>("cut_gap"),
+    column<OptText, &CellResult::cut_method>("cut_method"),
+    column<OptText, &CellResult::scenario>("scenario"),
+    column<NaInt, &CellResult::failed_links>("failed_links"),
+    column<Real, &CellResult::throughput_drop>("throughput_drop"),
+    column<NaInt, &CellResult::risk_group>("risk_group"),
+    column<Real, &CellResult::tm_scale>("tm_scale"),
+    column<NaInt, &CellResult::growth_step>("growth_step"),
+    column<Counter, &CellResult::pivots>("pivots"),
+    column<Counter, &CellResult::phases>("phases"),
+    column<Counter, &CellResult::dijkstras>("dijkstras"),
+    column<Counter, &CellResult::pushes>("pushes"),
+    column<Counter, &CellResult::relabels>("relabels"),
+    column<Counter, &CellResult::global_relabels>("global_relabels"),
+    column<Int, &CellResult::warm>("warm"),
+    column<Int, &CellResult::solver_threads>("solver_threads"),
+};
 
 }  // namespace
 
@@ -139,26 +234,24 @@ const CellResult& ResultSet::at(const std::string& topology,
 }
 
 const std::string& csv_header() {
-  static const std::string header = kCsvHeader;
+  static const std::string header = [] {
+    std::string h;
+    for (std::size_t i = 0; i < std::size(kColumns); ++i) {
+      if (i > 0) h += ',';
+      h += kColumns[i].name;
+    }
+    return h;
+  }();
   return header;
 }
 
 std::string csv_row(const CellResult& r) {
-  std::ostringstream out;
-  out << r.cell << ',' << csv_quote(r.topology) << ',' << r.servers << ','
-      << r.switches << ',' << csv_quote(r.tm) << ',' << r.seed << ','
-      << csv_quote(r.solver) << ',' << r.trials << ',' << num(r.throughput)
-      << ',' << num(r.random_mean) << ',' << num(r.random_ci95) << ','
-      << num(r.relative) << ',' << num(r.relative_ci95) << ','
-      << num(r.cut_bound) << ',' << num(r.cut_gap) << ','
-      << csv_quote(r.cut_method) << ',' << csv_quote(r.scenario) << ','
-      << int_or_na(r.failed_links) << ',' << num(r.throughput_drop) << ','
-      << int_or_na(r.risk_group) << ',' << num(r.tm_scale) << ','
-      << int_or_na(r.growth_step) << ','
-      << r.pivots << ',' << r.phases << ',' << r.dijkstras << ',' << r.pushes
-      << ',' << r.relabels << ',' << r.global_relabels << ',' << r.warm << ','
-      << r.solver_threads;
-  return out.str();
+  std::string row;
+  for (std::size_t i = 0; i < std::size(kColumns); ++i) {
+    if (i > 0) row += ',';
+    row += kColumns[i].csv(r);
+  }
+  return row;
 }
 
 CellResult cell_from_csv_row(const std::string& row) {
@@ -168,107 +261,49 @@ CellResult cell_from_csv_row(const std::string& row) {
     throw std::invalid_argument("cell_from_csv_row: unterminated quote");
   }
   const std::vector<std::string> f = csv_split(row);
-  if (f.size() != kNumColumns) {
+  if (f.size() != std::size(kColumns)) {
     throw std::invalid_argument("cell_from_csv_row: bad row arity (" +
                                 std::to_string(f.size()) + " fields)");
   }
   CellResult r;
-  r.cell = static_cast<std::size_t>(std::strtoull(f[0].c_str(), nullptr, 10));
-  r.topology = f[1];
-  r.servers = static_cast<int>(std::strtol(f[2].c_str(), nullptr, 10));
-  r.switches = static_cast<int>(std::strtol(f[3].c_str(), nullptr, 10));
-  r.tm = f[4];
-  r.seed = std::strtoull(f[5].c_str(), nullptr, 10);
-  r.solver = f[6];
-  r.trials = static_cast<int>(std::strtol(f[7].c_str(), nullptr, 10));
-  r.throughput = parse_num(f[8]);
-  r.random_mean = parse_num(f[9]);
-  r.random_ci95 = parse_num(f[10]);
-  r.relative = parse_num(f[11]);
-  r.relative_ci95 = parse_num(f[12]);
-  r.cut_bound = parse_num(f[13]);
-  r.cut_gap = parse_num(f[14]);
-  r.cut_method = f[15];
-  r.scenario = f[16];
-  r.failed_links =
-      f[17] == "na"
-          ? -1
-          : static_cast<int>(std::strtol(f[17].c_str(), nullptr, 10));
-  r.throughput_drop = parse_num(f[18]);
-  r.risk_group =
-      f[19] == "na"
-          ? -1
-          : static_cast<int>(std::strtol(f[19].c_str(), nullptr, 10));
-  r.tm_scale = parse_num(f[20]);
-  r.growth_step =
-      f[21] == "na"
-          ? -1
-          : static_cast<int>(std::strtol(f[21].c_str(), nullptr, 10));
-  r.pivots = std::strtol(f[22].c_str(), nullptr, 10);
-  r.phases = std::strtol(f[23].c_str(), nullptr, 10);
-  r.dijkstras = std::strtol(f[24].c_str(), nullptr, 10);
-  r.pushes = std::strtol(f[25].c_str(), nullptr, 10);
-  r.relabels = std::strtol(f[26].c_str(), nullptr, 10);
-  r.global_relabels = std::strtol(f[27].c_str(), nullptr, 10);
-  r.warm = static_cast<int>(std::strtol(f[28].c_str(), nullptr, 10));
-  r.solver_threads = static_cast<int>(std::strtol(f[29].c_str(), nullptr, 10));
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    if (!kColumns[i].parse(f[i], r)) {
+      std::string what = "cell_from_csv_row: bad ";
+      what += kColumns[i].name;
+      what += " field \"";
+      what += f[i];
+      what += '"';
+      throw std::invalid_argument(what);
+    }
+  }
   return r;
 }
 
+json::Value cell_json(const CellResult& r) {
+  json::Value o = json::Value::object();
+  for (const Column& c : kColumns) o.set(c.name, c.json_value(r));
+  return o;
+}
+
 std::string ResultSet::to_csv() const {
-  std::ostringstream out;
-  out << kCsvHeader << '\n';
+  std::string out = csv_header();
+  out += '\n';
   for (const CellResult& r : rows_) {
-    out << csv_row(r) << '\n';
+    out += csv_row(r);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::string ResultSet::to_json() const {
-  std::ostringstream out;
-  out << "[\n";
+  std::string out = "[\n";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const CellResult& r = rows_[i];
-    out << "  {\"cell\": " << r.cell << ", \"topology\": \""
-        << json_escape(r.topology) << "\", \"servers\": " << r.servers
-        << ", \"switches\": " << r.switches << ", \"tm\": \""
-        << json_escape(r.tm) << "\", \"seed\": " << r.seed
-        << ", \"solver\": \"" << json_escape(r.solver)
-        << "\", \"trials\": " << r.trials
-        << ", \"throughput\": " << json_num(r.throughput)
-        << ", \"random_mean\": " << json_num(r.random_mean)
-        << ", \"random_ci95\": " << json_num(r.random_ci95)
-        << ", \"relative\": " << json_num(r.relative)
-        << ", \"relative_ci95\": " << json_num(r.relative_ci95)
-        << ", \"cut_bound\": " << json_num(r.cut_bound)
-        << ", \"cut_gap\": " << json_num(r.cut_gap) << ", \"cut_method\": "
-        << (r.cut_method.empty()
-                ? std::string("null")
-                : '"' + json_escape(r.cut_method) + '"')
-        << ", \"scenario\": "
-        << (r.scenario.empty() ? std::string("null")
-                               : '"' + json_escape(r.scenario) + '"')
-        << ", \"failed_links\": "
-        << (r.failed_links < 0 ? std::string("null")
-                               : std::to_string(r.failed_links))
-        << ", \"throughput_drop\": " << json_num(r.throughput_drop)
-        << ", \"risk_group\": "
-        << (r.risk_group < 0 ? std::string("null")
-                             : std::to_string(r.risk_group))
-        << ", \"tm_scale\": " << json_num(r.tm_scale)
-        << ", \"growth_step\": "
-        << (r.growth_step < 0 ? std::string("null")
-                              : std::to_string(r.growth_step))
-        << ", \"pivots\": " << r.pivots << ", \"phases\": " << r.phases
-        << ", \"dijkstras\": " << r.dijkstras << ", \"pushes\": " << r.pushes
-        << ", \"relabels\": " << r.relabels
-        << ", \"global_relabels\": " << r.global_relabels
-        << ", \"warm\": " << r.warm
-        << ", \"solver_threads\": " << r.solver_threads << "}"
-        << (i + 1 < rows_.size() ? "," : "") << '\n';
+    out += "  ";
+    out += json::dump(cell_json(rows_[i]));
+    out += i + 1 < rows_.size() ? ",\n" : "\n";
   }
-  out << "]\n";
-  return out.str();
+  out += "]\n";
+  return out;
 }
 
 ResultSet ResultSet::from_csv(const std::string& csv) {
@@ -293,7 +328,7 @@ ResultSet ResultSet::from_csv(const std::string& csv) {
     }
     if (!quotes_balanced(record)) continue;
     if (!saw_header) {
-      if (record != kCsvHeader) {
+      if (record != csv_header()) {
         throw std::invalid_argument("ResultSet::from_csv: unexpected header");
       }
       saw_header = true;
@@ -303,8 +338,9 @@ ResultSet ResultSet::from_csv(const std::string& csv) {
     CellResult r;
     try {
       r = cell_from_csv_row(record);
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument("ResultSet::from_csv: bad row arity");
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("ResultSet::from_csv: ") +
+                                  e.what());
     }
     record.clear();
     rs.add(std::move(r));
@@ -326,31 +362,13 @@ void ResultSet::emit(std::ostream& os, const std::string& caption) const {
     if (slice_) os << slice_header_line(*slice_) << '\n';
     os << to_csv();
   } else {
-    Table table({"cell", "topology", "servers", "switches", "tm", "seed",
-                 "solver", "trials", "throughput", "random_mean",
-                 "random_ci95", "relative", "relative_ci95", "cut_bound",
-                 "cut_gap", "cut_method", "scenario", "failed_links",
-                 "throughput_drop", "risk_group", "tm_scale", "growth_step",
-                 "pivots", "phases", "dijkstras", "pushes",
-                 "relabels", "global_relabels", "warm", "solver_threads"});
+    std::vector<std::string> header;
+    for (const Column& c : kColumns) header.emplace_back(c.name);
+    Table table(std::move(header));
     for (const CellResult& r : rows_) {
-      table.add_row({std::to_string(r.cell), r.topology,
-                     std::to_string(r.servers), std::to_string(r.switches),
-                     r.tm, std::to_string(r.seed), r.solver,
-                     std::to_string(r.trials), num_short(r.throughput),
-                     num_short(r.random_mean), num_short(r.random_ci95),
-                     num_short(r.relative), num_short(r.relative_ci95),
-                     num_short(r.cut_bound), num_short(r.cut_gap),
-                     r.cut_method.empty() ? "na" : r.cut_method,
-                     r.scenario.empty() ? "na" : r.scenario,
-                     int_or_na(r.failed_links), num_short(r.throughput_drop),
-                     int_or_na(r.risk_group), num_short(r.tm_scale),
-                     int_or_na(r.growth_step),
-                     std::to_string(r.pivots), std::to_string(r.phases),
-                     std::to_string(r.dijkstras), std::to_string(r.pushes),
-                     std::to_string(r.relabels),
-                     std::to_string(r.global_relabels), std::to_string(r.warm),
-                     std::to_string(r.solver_threads)});
+      std::vector<std::string> cells;
+      for (const Column& c : kColumns) cells.push_back(c.text(r));
+      table.add_row(std::move(cells));
     }
     table.print(os, caption);
   }

@@ -2,6 +2,11 @@
 // the same columns, so figure/table output is machine-parseable across the
 // whole bench suite instead of per-driver ad-hoc tables.
 //
+// One schema: results.cpp declares the 30 columns once, as an ordered
+// table of (name, CellResult member, value kind), and the CSV header and
+// rows, the strict CSV parser, the text table and the JSON record
+// (cell_json, shared by to_json and the server) are all loops over it.
+//
 // NaN sentinel: fields that do not apply — the random-graph baseline of an
 // absolute (trials == 0) cell, or the CI of a single-trial cell — are quiet
 // NaN in memory, rendered as "na" in CSV and null in JSON, and parsed back
@@ -17,6 +22,7 @@
 #include <vector>
 
 #include "exp/shard.h"
+#include "util/json.h"
 
 namespace tb::exp {
 
@@ -91,6 +97,7 @@ class ResultSet {
                        const std::string& tm) const;
 
   std::string to_csv() const;
+  /// A JSON array of cell_json records, one per line.
   std::string to_json() const;
   static ResultSet from_csv(const std::string& csv);
 
@@ -119,10 +126,10 @@ bool csv_mode();
 
 // --- single-record codec -------------------------------------------------
 // The exact per-row byte discipline of to_csv/from_csv, exposed so other
-// serializers (the on-disk result store) reuse the same codec instead of
-// inventing a second one. csv_row + cell_from_csv_row round-trip every
-// CellResult bit-exactly: doubles are %.17g, NaN is "na", fields containing
-// separators are RFC-4180 quoted.
+// serializers (the on-disk result store, the slice merger, the server) reuse
+// the same codec instead of inventing a second one. csv_row +
+// cell_from_csv_row round-trip every CellResult bit-exactly: doubles are
+// %.17g, NaN is "na", fields containing separators are RFC-4180 quoted.
 
 /// The uniform CSV header line (no trailing newline).
 const std::string& csv_header();
@@ -131,9 +138,17 @@ const std::string& csv_header();
 /// (no trailing newline).
 std::string csv_row(const CellResult& r);
 
-/// Strict inverse of csv_row: throws std::invalid_argument on wrong arity
-/// or malformed quoting. Accepts multi-line rows (quoted fields may contain
-/// newlines), matching from_csv's record discipline.
+/// Strict inverse of csv_row: throws std::invalid_argument on wrong arity,
+/// malformed quoting, or a field its column's writer cannot emit (the whole
+/// field must parse; "na" only in the NA-int and real columns; "inf" is a
+/// legal real) — the message names the column. Accepts multi-line rows
+/// (quoted fields may contain newlines), matching from_csv's record
+/// discipline.
 CellResult cell_from_csv_row(const std::string& row);
+
+/// The record as a JSON object, keys in column order: NaN, infinities, the
+/// -1 NA ints and empty optional labels publish as null, and the 64-bit
+/// seed as a decimal string (a JSON number is a double and cannot hold it).
+json::Value cell_json(const CellResult& r);
 
 }  // namespace tb::exp

@@ -22,11 +22,11 @@ namespace {
 /// Auto-dispatch thresholds, the cut-bound knobs — the cut sampler's
 /// seed is derived from the cell, so the option-struct seed is excluded —
 /// and the warm-start mode, whose chained results differ from cold ones).
-/// `parallel` is deliberately excluded — results are scheduling-invariant
-/// by contract, and keying on it would miss between serial and parallel
-/// runs of the same configuration. Scenario identity is the per-cell
-/// scenario label (trusted like topology labels), carried in the cache key
-/// itself.
+/// Scheduling (solver_threads, pool shape) is deliberately excluded —
+/// results are scheduling-invariant by contract, and keying on it would
+/// miss between serial and parallel runs of the same configuration.
+/// Scenario identity is the per-cell scenario label (trusted like topology
+/// labels), carried in the cache key itself.
 std::string config_fingerprint(const Sweep& s) {
   const mcf::SolveOptions& o = s.solve;
   char buf[160];
@@ -211,10 +211,9 @@ CellResult Runner::eval_cell(const Sweep& sweep,
     // trial, so enabling cut bounds perturbs no existing column.
     CutBoundOptions cb = sweep.cut_bound_opts;
     cb.seed = mix_seed(cell_seed, static_cast<std::uint64_t>(r.trials) + 1);
-    // Mirror the mcf engine's threading gate: a non-parallel solve keeps
-    // the cut estimators serial too. Never result-bearing (the battery is
-    // thread-invariant), so the fingerprint ignores it like `parallel`.
-    cb.solver_threads = solve.parallel ? solve.solver_threads : 1;
+    // The cut estimators share the solve's threading. Never result-bearing
+    // (the battery is thread-invariant), so the fingerprint ignores it.
+    cb.solver_threads = solve.solver_threads;
     const CutBoundResult cut = cut_upper_bound(net, tm, cb);
     r.pushes = cut.flow_stats.pushes;
     r.relabels = cut.flow_stats.relabels;
@@ -263,11 +262,8 @@ void Runner::eval_failure_group(const Sweep& sweep,
                          static_cast<std::uint64_t>(sweep.trials) + 2);
     specs.push_back(std::move(spec));
   }
-  // parallel_ gates the fleet's per-scenario fan-out too: a cell-serial
-  // runner keeps every cell on the calling thread (the solvers still
-  // honor solve.parallel / solver_threads independently).
   const std::vector<DegradedResult> deg =
-      degraded_throughput_batch(net, tm, specs, solve, parallel_);
+      degraded_throughput_batch(net, tm, specs, solve);
   for (std::size_t k = 0; k < cell_indices.size(); ++k) {
     const std::size_t index = cell_indices[k];
     const ScenarioPoint& point = sweep.scenarios[index % num_scenarios];
@@ -408,10 +404,9 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
   // Units run concurrently, each writing its cells' own slots; everything
   // below the barrier is a deterministic reduction in cell order. A single
   // unit stays on the calling thread, so a fleet group's own per-scenario
-  // fan-out (gated by parallel_ too) still gets the pool. Per-scenario
-  // fleet results are independent of the batch shape and a chain's order is
-  // the TM order, so output is byte-identical for any thread count and any
-  // cache state.
+  // fan-out still gets the pool. Per-scenario fleet results are independent
+  // of the batch shape and a chain's order is the TM order, so output is
+  // byte-identical for any thread count and any cache state.
   const auto eval_unit = [&](std::size_t k) {
     const std::vector<std::size_t>& unit = units[k];
     const Cell& head = cells[unit.front()];
@@ -431,7 +426,7 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
     }
   };
   ThreadPool& pool = ThreadPool::shared();
-  if (parallel_ && units.size() > 1 && pool.size() > 1) {
+  if (units.size() > 1 && pool.size() > 1) {
     pool.parallel_for(0, units.size(), eval_unit);
   } else {
     for (std::size_t k = 0; k < units.size(); ++k) eval_unit(k);

@@ -50,7 +50,9 @@
 // TOPOBENCH_SOLVER_THREADS when the sweep leaves it 0. By the solver
 // determinism contracts the knob never changes values — it is recorded in
 // the solver_threads column (the requested configuration, not a measured
-// count) and deliberately excluded from cache identity like `parallel`.
+// count) and deliberately excluded from cache identity. Cell scheduling has
+// no knob: units always fan out on the shared pool, and TOPOBENCH_THREADS=1
+// (a one-worker pool) runs them serially on the calling thread.
 //
 // Cache contract: results are memoized under (topology label, TM label,
 // scenario label, cell seed, solver + cut-bound + warm configuration,
@@ -145,9 +147,7 @@ struct RunOptions {
 
 class Runner {
  public:
-  /// `parallel = false` forces cells onto the calling thread (the solver
-  /// and evaluator still honor Sweep::solve.parallel independently).
-  explicit Runner(bool parallel = true) : parallel_(parallel) {}
+  Runner() = default;
 
   Runner(const Runner&) = delete;
   Runner& operator=(const Runner&) = delete;
@@ -186,7 +186,6 @@ class Runner {
   ResultSet run_impl(const Sweep& sweep, const RunOptions& opts,
                      const ShardSpec& shard, bool slice);
 
-  bool parallel_;
   std::mutex mutex_;
   // Order-independent by construction: the cache is only probed with
   // point lookups (find/insert under mutex_) and is never iterated, and

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "exp/results.h"
+
 namespace tb::exp {
 namespace {
 
@@ -109,7 +111,7 @@ namespace {
 struct Slice {
   SliceMeta meta;
   std::string caption;            ///< the "# ..." line preceding the header
-  std::string header;             ///< the CSV column-header line
+  bool has_header = false;        ///< the csv_header() line was seen
   std::vector<std::string> rows;  ///< raw records, cells lo..hi-1 in order
 };
 
@@ -128,29 +130,20 @@ std::string range_str(std::size_t lo, std::size_t hi) {
   return s;
 }
 
-/// Leading cell index of a raw CSV record (the first column is `cell`).
-std::size_t record_cell(const std::string& record) {
-  std::size_t end = 0;
-  while (end < record.size() &&
-         std::isdigit(static_cast<unsigned char>(record[end]))) {
-    ++end;
-  }
-  if (end == 0 || end == record.size() || record[end] != ',') {
-    merge_fail("data row does not start with a cell index: \"" +
-               record.substr(0, 40) + "...\"");
-  }
-  return static_cast<std::size_t>(
-      std::strtoull(record.substr(0, end).c_str(), nullptr, 10));
+std::string slice_name(const SliceMeta& meta) {
+  std::string s = "slice ";
+  s += std::to_string(meta.shard.index);
+  s += '/';
+  s += std::to_string(meta.shard.count);
+  return s;
 }
 
 void finish_slice(const Slice& s) {
-  if (s.header.empty()) {
-    merge_fail("slice " + std::to_string(s.meta.shard.index) + "/" +
-               std::to_string(s.meta.shard.count) + " has no CSV header line");
+  if (!s.has_header) {
+    merge_fail(slice_name(s.meta) + " has no CSV header line");
   }
   if (s.rows.size() != s.meta.hi - s.meta.lo) {
-    merge_fail("slice " + std::to_string(s.meta.shard.index) + "/" +
-               std::to_string(s.meta.shard.count) + " declares cells " +
+    merge_fail(slice_name(s.meta) + " declares cells " +
                range_str(s.meta.lo, s.meta.hi) + " but carries " +
                std::to_string(s.rows.size()) + " rows");
   }
@@ -206,15 +199,27 @@ std::string merge_slices(std::istream& in) {
       merge_fail("data outside any slice (is this an unsharded CSV or a "
                  "truncated slice?): \"" + record.substr(0, 40) + "...\"");
     }
-    if (current->header.empty()) {
-      current->header = std::move(record);
+    if (!current->has_header) {
+      if (record != csv_header()) {
+        merge_fail(slice_name(current->meta) +
+                   " has a foreign CSV header: \"" + record.substr(0, 40) +
+                   "...\"");
+      }
+      current->has_header = true;
     } else {
-      const std::size_t cell = record_cell(record);
+      // Every row goes through the one record codec, so a slice the result
+      // store or from_csv would reject cannot merge either; the merged
+      // output still carries the row's original bytes.
+      std::size_t cell = 0;
+      try {
+        cell = cell_from_csv_row(record).cell;
+      } catch (const std::invalid_argument& e) {
+        merge_fail(slice_name(current->meta) + " row " +
+                   std::to_string(current->rows.size()) + ": " + e.what());
+      }
       const std::size_t expected = current->meta.lo + current->rows.size();
       if (cell != expected || cell >= current->meta.hi) {
-        merge_fail("slice " + std::to_string(current->meta.shard.index) + "/" +
-                   std::to_string(current->meta.shard.count) +
-                   " declares cells " +
+        merge_fail(slice_name(current->meta) + " declares cells " +
                    range_str(current->meta.lo, current->meta.hi) +
                    " but row " + std::to_string(current->rows.size()) +
                    " carries cell " + std::to_string(cell));
@@ -227,7 +232,8 @@ std::string merge_slices(std::istream& in) {
   if (slices.empty()) merge_fail("no slices in input");
   finish_slice(slices.back());
 
-  // Cross-slice identity: one grid, one caption, one header.
+  // Cross-slice identity: one grid, one caption (every header already
+  // equals csv_header()).
   const Slice& first = slices.front();
   for (const Slice& s : slices) {
     if (s.meta.grid != first.meta.grid) {
@@ -246,9 +252,6 @@ std::string merge_slices(std::istream& in) {
     if (s.caption != first.caption) {
       merge_fail("mismatched captions: \"" + first.caption + "\" vs \"" +
                  s.caption + '"');
-    }
-    if (s.header != first.header) {
-      merge_fail("mismatched CSV headers between slices");
     }
   }
 
@@ -283,7 +286,7 @@ std::string merge_slices(std::istream& in) {
   // header, every row in cell order, and the trailing blank line
   // ResultSet::emit writes.
   std::ostringstream out;
-  out << first.caption << '\n' << first.header << '\n';
+  out << first.caption << '\n' << csv_header() << '\n';
   for (const Slice* s : ordered) {
     for (const std::string& row : s->rows) out << row << '\n';
   }

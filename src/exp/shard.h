@@ -22,12 +22,15 @@
 // slice stays parseable as an ordinary result CSV.
 //
 // Merge contract: merge_slices consumes one or more concatenated slices
-// (`cat shard_*.csv`), verifies a single caption/header/fingerprint/total,
-// verifies the declared ranges tile [0, total) disjointly and exhaustively
-// and that every slice carries exactly its declared rows, and reproduces
-// the unsharded emission byte-for-byte — or throws std::runtime_error with
-// a description of the overlap / gap / mismatch. tools/topobench_merge is
-// the CLI wrapper.
+// (`cat shard_*.csv`), verifies a single caption/fingerprint/total and that
+// every slice's CSV header is exp::csv_header(), decodes every row with the
+// record codec (exp::cell_from_csv_row — a row the result store would
+// reject cannot merge), verifies the declared ranges tile [0, total)
+// disjointly and exhaustively and that every slice carries exactly its
+// declared rows, and reproduces the unsharded emission byte-for-byte from
+// the rows' original bytes — or throws std::runtime_error with a
+// description of the overlap / gap / mismatch / malformed row.
+// tools/topobench_merge is the CLI wrapper.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +92,9 @@ SliceMeta parse_slice_header_line(const std::string& line);
 
 /// Merge concatenated slices from `in` into the unsharded emission (see
 /// the merge contract above). Throws std::runtime_error on overlapping or
-/// missing slices, mismatched grid fingerprints / captions / headers,
-/// or slices whose rows do not match their declared range.
+/// missing slices, mismatched grid fingerprints / captions, a foreign CSV
+/// header, a row the record codec rejects, or slices whose rows do not
+/// match their declared range.
 std::string merge_slices(std::istream& in);
 
 }  // namespace tb::exp

@@ -289,8 +289,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
        net_->graph.num_nodes() <= opts.exact_max_switches &&
        lp_size_within(num_sources, net_->graph.num_arcs(),
                       opts.exact_max_lp_size));
-  ThreadPool* const pool =
-      opts.parallel ? ThreadPool::resolve(opts.solver_threads) : nullptr;
+  ThreadPool* const pool = ThreadPool::resolve(opts.solver_threads);
   if (use_exact) {
     ExactLpSession session;
     if (scenario_active_) session.arc_caps = &gk_.arc_capacities();
@@ -308,7 +307,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
 
   GkOptions gkopts;
   gkopts.epsilon = opts.epsilon;
-  gkopts.parallel = pool != nullptr;
   gkopts.pool = pool;
   // Warm solves run the session dynamics (Fleischer-style tree reuse, see
   // GkOptions::reuse_trees). Cross-solve length seeding additionally kicks
@@ -340,7 +338,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
 
 std::vector<FleetCell> ScenarioFleet::evaluate(
     const TrafficMatrix& tm, const std::vector<ScenarioSpec>& specs,
-    const SolveOptions& opts, bool parallel_cells) {
+    const SolveOptions& opts) {
   std::vector<FleetCell> out(specs.size());
   if (specs.empty()) return out;
   // One cold baseline per batch; it is bitwise the baseline every
@@ -363,7 +361,7 @@ std::vector<FleetCell> ScenarioFleet::evaluate(
                     : 0.0;
   };
   ThreadPool& pool = ThreadPool::shared();
-  if (parallel_cells && opts.parallel && specs.size() > 1 && pool.size() > 1) {
+  if (specs.size() > 1 && pool.size() > 1) {
     pool.parallel_for(0, specs.size(), eval_one);
   } else {
     for (std::size_t i = 0; i < specs.size(); ++i) eval_one(i);

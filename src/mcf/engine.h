@@ -225,16 +225,13 @@ class ScenarioFleet {
   /// `net` must outlive the fleet.
   explicit ScenarioFleet(const Network& net) : net_(&net) {}
 
-  /// Evaluate every scenario of `specs` against `tm`, in spec order.
-  /// `parallel_cells` gates only the per-scenario fan-out onto the shared
-  /// pool (callers that must stay on one thread — a cell-serial
-  /// experiment runner — pass false; the solvers still honor
-  /// opts.parallel / solver_threads independently). Results are identical
-  /// either way.
+  /// Evaluate every scenario of `specs` against `tm`, in spec order, the
+  /// scenarios fanned out over the shared pool (inline on a pool worker or
+  /// a one-worker pool; the solvers honor opts.solver_threads on their
+  /// own). Results are identical either way.
   std::vector<FleetCell> evaluate(const TrafficMatrix& tm,
                                   const std::vector<ScenarioSpec>& specs,
-                                  const SolveOptions& opts = {},
-                                  bool parallel_cells = true);
+                                  const SolveOptions& opts = {});
 
  private:
   const Network* net_;

@@ -14,6 +14,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Sources per deterministic Dijkstra block. Fixed, so the block partition
+/// — and therefore every result — never depends on the pool.
+constexpr std::size_t kBlockSize = 8;
+
+/// Safety cap on multiplicative-weights phases per solve.
+constexpr long kMaxPhases = 200'000;
+
 /// Dijkstra that stops once all of `targets` are settled (big win for
 /// matching TMs where each source has a single sink). Nodes not settled
 /// keep dist = +inf and parent = -1; every settled sink's tree path passes
@@ -294,10 +301,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   snap_flow_.assign(static_cast<std::size_t>(num_arcs), 0.0);
   long snap_phase = 0;
 
-  // Per-slot scratch, one slot per block position (fixed block size =>
-  // the partition, and therefore the result, never depends on the pool).
-  const int block = std::max(1, opts.block_size);
-  scratch_.resize(static_cast<std::size_t>(block));
+  // Per-slot scratch, one slot per block position.
+  scratch_.resize(kBlockSize);
   for (Scratch& sc : scratch_) {
     sc.node_vol.assign(n, 0.0);  // kept zeroed between uses
     sc.order.resize(n);
@@ -406,8 +411,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   GkResult res;
   res.upper_bound = kInf;
   res.warm_started = warm_seeded;
-  ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::shared();
-  const bool par = opts.parallel && pool.size() > 1;
+  ThreadPool* const pool = opts.pool;
+  const bool par = pool != nullptr && pool->size() > 1;
 
   long phase = 0;
   long dijkstras = 0;
@@ -418,7 +423,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   double best_gap_seen = kInf;
   long last_gap_improvement = 0;
   bool stop = false;
-  while (!stop && phase < opts.max_phases) {
+  while (!stop && phase < kMaxPhases) {
     double alpha = 0.0;  // sum_j demand_j * dist_l(s_j, t_j) this phase
     if (opts.reuse_trees) {
       // Session dynamics, block-parallel: a block's freshness checks and
@@ -428,10 +433,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
       // the block ran serial or on the pool. No per-phase alpha — the dual
       // bound comes solely from the exact sweeps below, which keeps the
       // certificate rigorous under stale routing.
-      for (std::size_t g0 = 0; g0 < groups_.size();
-           g0 += static_cast<std::size_t>(block)) {
-        const std::size_t g1 =
-            std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
+      for (std::size_t g0 = 0; g0 < groups_.size(); g0 += kBlockSize) {
+        const std::size_t g1 = std::min(groups_.size(), g0 + kBlockSize);
         const auto prep = [&](std::size_t k) {
           const std::size_t gi = g0 + k;
           Scratch& sc = scratch_[k];
@@ -447,7 +450,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
           sc.rebuilt = true;
         };
         if (par && g1 - g0 > 1) {
-          pool.parallel_for(0, g1 - g0, prep);
+          pool->parallel_for(0, g1 - g0, prep);
         } else {
           for (std::size_t k = 0; k < g1 - g0; ++k) prep(k);
         }
@@ -457,10 +460,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
         }
       }
     } else {
-      for (std::size_t g0 = 0; g0 < groups_.size();
-           g0 += static_cast<std::size_t>(block)) {
-        const std::size_t g1 =
-            std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
+      for (std::size_t g0 = 0; g0 < groups_.size(); g0 += kBlockSize) {
+        const std::size_t g1 = std::min(groups_.size(), g0 + kBlockSize);
         // Dijkstras against frozen lengths (parallel when a pool exists).
         const auto run = [&](std::size_t k) {
           Scratch& sc = scratch_[k];
@@ -469,7 +470,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
                               sc.tent, sc.is_target);
         };
         if (par && g1 - g0 > 1) {
-          pool.parallel_for(0, g1 - g0, run);
+          pool->parallel_for(0, g1 - g0, run);
         } else {
           for (std::size_t k = 0; k < g1 - g0; ++k) run(k);
         }
@@ -566,10 +567,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
       // reduces in group order after the barrier, so the certificate is
       // bitwise thread-count invariant.
       alpha_part_.assign(groups_.size(), 0.0);
-      for (std::size_t g0 = 0; g0 < groups_.size();
-           g0 += static_cast<std::size_t>(block)) {
-        const std::size_t g1 =
-            std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
+      for (std::size_t g0 = 0; g0 < groups_.size(); g0 += kBlockSize) {
+        const std::size_t g1 = std::min(groups_.size(), g0 + kBlockSize);
         const auto sweep_group = [&](std::size_t k) {
           const std::size_t gi = g0 + k;
           const SourceGroup& grp = groups_[gi];
@@ -594,7 +593,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
           if (opts.reuse_trees) build_cache(gi, sc);
         };
         if (par && g1 - g0 > 1) {
-          pool.parallel_for(0, g1 - g0, sweep_group);
+          pool->parallel_for(0, g1 - g0, sweep_group);
         } else {
           for (std::size_t k = 0; k < g1 - g0; ++k) sweep_group(k);
         }

@@ -18,7 +18,7 @@
 //     gap falls below `epsilon` or the classic D(l) >= 1 criterion fires.
 //
 // Parallelism (the threaded-determinism contract): within a phase, sources
-// are processed in fixed-size blocks; each block's shortest-path work —
+// are processed in fixed-size blocks of 8; each block's shortest-path work —
 // classic Dijkstras, reuse-mode staleness checks and tree rebuilds, and the
 // exact dual sweeps — runs on a thread pool against lengths frozen at the
 // block boundary, each slot writing only its own scratch buffers, and every
@@ -28,7 +28,8 @@
 // serial path — because the block partition is a constant, the per-slot
 // arithmetic is identical, and the reductions run in a fixed order; block
 // staleness only perturbs path choice, never the primal/dual certificates.
-// GkOptions::pool selects the pool (null = the process-shared one).
+// GkOptions::pool selects the pool; null runs the serial path, as
+// lp::Options::pool does.
 //
 // GkSolver is the session form used by mcf::ThroughputEngine: it binds to
 // one graph, owns working per-arc capacities (the scenario layer degrades
@@ -59,13 +60,11 @@ namespace tb::mcf {
 
 struct GkOptions {
   double epsilon = 0.05;       ///< target certified relative gap
-  long max_phases = 200'000;   ///< safety cap
-  bool parallel = true;        ///< run per-block shortest paths on a pool
-  /// Pool for the per-block parallelism; null means ThreadPool::shared().
-  /// Never affects results (see the determinism contract above) — only
-  /// which threads do the work.
+  /// Pool for the per-block shortest paths; null runs them serially (the
+  /// engine passes ThreadPool::resolve(solver_threads)). Never affects
+  /// results (see the determinism contract above) — only which threads do
+  /// the work.
   ThreadPool* pool = nullptr;
-  int block_size = 8;          ///< sources per deterministic Dijkstra block
   /// Stop once the certified gap stops improving (the result still carries
   /// the true residual gap in upper_bound). Disable for strict-epsilon runs.
   bool plateau_guard = true;

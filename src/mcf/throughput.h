@@ -31,7 +31,6 @@ struct SolveOptions {
   double epsilon = 0.03;        ///< GK certified gap target
   int exact_max_switches = 36;  ///< Auto: LP only at or below this size...
   long exact_max_lp_size = 4096;  ///< ...and only if sources*arcs fits this
-  bool parallel = true;
   /// Intra-solve worker threads: 0 runs on the process-shared pool
   /// (TOPOBENCH_THREADS), 1 forces the serial path, N > 1 uses a
   /// process-shared dedicated N-worker pool. By the determinism contracts

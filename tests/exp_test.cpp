@@ -2,15 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "serial_run.h"
 #include "core/evaluator.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
 #include "pool_test_env.h"
 #include "tm/synthetic.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -126,9 +132,9 @@ TEST(Runner, SerialAndParallelProduceIdenticalCsv) {
                     "override?); parallel path would not be exercised";
   }
   const exp::Sweep sweep = tiny_sweep(/*trials=*/2);
-  exp::Runner serial(/*parallel=*/false);
-  exp::Runner parallel(/*parallel=*/true);
-  EXPECT_EQ(serial.run(sweep, {}).to_csv(), parallel.run(sweep, {}).to_csv());
+  exp::Runner parallel;
+  EXPECT_EQ(test_env::serial_csv(sweep),
+            parallel.run(sweep, {}).to_csv());
 }
 
 TEST(Runner, RelativeCellsMatchDirectEvaluatorCall) {
@@ -287,6 +293,86 @@ TEST(Results, JsonEscapesControlCharactersAndNonFinite) {
   EXPECT_NE(json.find("\"cut_bound\": null"), std::string::npos);
 }
 
+TEST(Results, JsonSeedRoundTripsExactly) {
+  // A JSON number is a double: 2^53 + 1 and full-width mix_seed values
+  // would round, so the seed publishes as its decimal string.
+  exp::ResultSet rs;
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{9007199254740993ULL}, mix_seed(1, 2),
+        std::numeric_limits<std::uint64_t>::max()}) {
+    exp::CellResult r;
+    r.seed = seed;
+    rs.add(r);
+  }
+  const json::Value v = json::parse(rs.to_json());
+  ASSERT_EQ(v.items.size(), rs.size());
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    EXPECT_EQ(v.items[i].find("seed")->as_string("seed"),
+              std::to_string(rs.rows()[i].seed));
+  }
+}
+
+/// csv_row of a plain absolute cell with `column` replaced by `value`.
+std::string row_with(const std::string& column, const std::string& value) {
+  exp::CellResult r;
+  r.topology = "hc16";
+  r.servers = 16;
+  r.tm = "A2A";
+  r.throughput = 0.5;
+  std::vector<std::string> fields;
+  std::stringstream row(exp::csv_row(r));
+  for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+  std::stringstream header(exp::csv_header());
+  std::size_t i = 0;
+  for (std::string name; std::getline(header, name, ','); ++i) {
+    if (name == column) fields[i] = value;
+  }
+  std::string out;
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    if (k > 0) out += ',';
+    out += fields[k];
+  }
+  return out;
+}
+
+void expect_field_rejected(const std::string& column,
+                           const std::string& value) {
+  try {
+    (void)exp::cell_from_csv_row(row_with(column, value));
+    FAIL() << column << "=\"" << value << "\" decoded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bad " + column + " field"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Results, StrictParseAcceptsTheWritersSentinels) {
+  EXPECT_EQ(exp::cell_from_csv_row(row_with("servers", "16")).servers, 16);
+  EXPECT_TRUE(std::isinf(
+      exp::cell_from_csv_row(row_with("cut_bound", "inf")).cut_bound));
+  EXPECT_TRUE(std::isnan(
+      exp::cell_from_csv_row(row_with("cut_bound", "na")).cut_bound));
+  EXPECT_EQ(exp::cell_from_csv_row(row_with("failed_links", "na")).failed_links,
+            -1);
+}
+
+TEST(Results, StrictParseRejectsNonNumericInt) {
+  expect_field_rejected("servers", "x16");
+}
+
+TEST(Results, StrictParseRejectsFractionalInt) {
+  expect_field_rejected("servers", "1.5");
+}
+
+TEST(Results, StrictParseRejectsEmptyReal) {
+  expect_field_rejected("throughput", "");
+}
+
+TEST(Results, StrictParseRejectsNaInPlainInt) {
+  expect_field_rejected("servers", "na");
+}
+
 TEST(Results, AtFindsCellAndThrowsOnMiss) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner runner;
@@ -344,8 +430,8 @@ TEST(Runner, FailureCellsFillScenarioColumnsDeterministically) {
   exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   sweep.scenarios = exp::random_failure_scenarios({0.15});
   sweep.scenarios.push_back(exp::degrade_scenario(0.5));
-  exp::Runner serial(/*parallel=*/false);
-  const exp::ResultSet rs = serial.run(sweep, {});
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, {});
   ASSERT_EQ(rs.size(), 4u);  // 1 topo x 2 tms x 2 scenarios
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_FALSE(r.scenario.empty());
@@ -362,10 +448,7 @@ TEST(Runner, FailureCellsFillScenarioColumnsDeterministically) {
   }
   // The in-process contract: parallel cell distribution must not change a
   // single byte of the emitted CSV (failure sampling is per-cell seeded).
-  if (ThreadPool::shared().size() > 1) {
-    exp::Runner parallel(/*parallel=*/true);
-    EXPECT_EQ(parallel.run(sweep, {}).to_csv(), rs.to_csv());
-  }
+  EXPECT_EQ(test_env::serial_csv(sweep), rs.to_csv());
 }
 
 TEST(Runner, FailureCacheKeysIncludeScenarioAxisShape) {
@@ -394,18 +477,15 @@ TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
   exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   sweep.solve.kind = mcf::SolverKind::GargKonemann;  // exercise GK sessions
   sweep.warm_start = true;
-  exp::Runner serial(/*parallel=*/false);
-  const exp::ResultSet rs = serial.run(sweep, {});
+  exp::Runner chain_runner;
+  const exp::ResultSet rs = chain_runner.run(sweep, {});
   ASSERT_EQ(rs.size(), 2u);
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_EQ(r.warm, 1);  // whole chain runs in session mode
     EXPECT_GT(r.throughput, 0.0);
     EXPECT_GT(r.phases, 0);
   }
-  if (ThreadPool::shared().size() > 1) {
-    exp::Runner parallel(/*parallel=*/true);
-    EXPECT_EQ(parallel.run(sweep, {}).to_csv(), rs.to_csv());
-  }
+  EXPECT_EQ(test_env::serial_csv(sweep), rs.to_csv());
   // Warm results are cached under a distinct fingerprint: a cold re-run of
   // the same grid must not be answered from warm entries (or vice versa).
   exp::Sweep cold = sweep;

@@ -9,6 +9,7 @@
 #include "topo/fattree.h"
 #include "topo/hypercube.h"
 #include "topo/jellyfish.h"
+#include "util/thread_pool.h"
 
 namespace tb {
 namespace {
@@ -140,16 +141,17 @@ TEST(GargKonemann, FlowIsFeasible) {
 TEST(GargKonemann, ParallelAndSerialAgree) {
   const Network jf = make_jellyfish(32, 4, 1, 9);
   const TrafficMatrix tm = all_to_all(jf);
-  mcf::GkOptions serial;
-  serial.parallel = false;
+  mcf::GkOptions serial;  // null pool: the serial path
   serial.epsilon = 0.05;
-  mcf::GkOptions parallel;
-  parallel.parallel = true;
-  parallel.epsilon = 0.05;
-  const double a = mcf::max_concurrent_flow(jf.graph, tm, serial).throughput;
-  const double b = mcf::max_concurrent_flow(jf.graph, tm, parallel).throughput;
+  mcf::GkOptions parallel = serial;
+  parallel.pool = &ThreadPool::dedicated(4);
+  const mcf::GkResult a = mcf::max_concurrent_flow(jf.graph, tm, serial);
+  const mcf::GkResult b = mcf::max_concurrent_flow(jf.graph, tm, parallel);
   // Identical: the block structure, not the thread count, defines routing.
-  EXPECT_DOUBLE_EQ(a, b);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.upper_bound, b.upper_bound);
+  EXPECT_EQ(a.phases, b.phases);
+  EXPECT_EQ(a.dijkstras, b.dijkstras);
 }
 
 TEST(GargKonemann, DemandScalingIsLinear) {

@@ -159,8 +159,9 @@ TEST(ScenarioFleet, ForkSessionRefusesActiveScenario) {
 // ---------------------------------------------------------------------------
 // The full nesting stack: runner cells x ScenarioFleet x intra-solve
 // threading. Pins the parallel_for nested-submit inlining — no deadlock,
-// no reordering — by requiring byte-identical CSV for every combination of
-// runner parallelism and solver_threads.
+// no reordering — by requiring byte-identical CSV across the solver_threads
+// ladder (cell-serial vs cell-parallel runs are the TOPOBENCH_THREADS=1
+// mode of the runner_csv_determinism_* entries).
 
 TEST(ScenarioFleet, NestedInRunnerFailuresSweepEmitsIdenticalCsv) {
   exp::Sweep sweep;
@@ -173,31 +174,28 @@ TEST(ScenarioFleet, NestedInRunnerFailuresSweepEmitsIdenticalCsv) {
   sweep.scenarios.push_back(exp::degrade_scenario(0.5));
 
   std::string reference;
-  for (const bool parallel_cells : {false, true}) {
-    for (const int threads : {1, 4}) {
-      sweep.solve.solver_threads = threads;
-      exp::Runner runner(parallel_cells);
-      const std::string csv = runner.run(sweep, {}).to_csv();
-      // The configuration echo column is the only allowed difference.
-      exp::ResultSet rs = exp::ResultSet::from_csv(csv);
-      for (const exp::CellResult& r : rs.rows()) {
-        EXPECT_EQ(r.solver_threads, threads);
-      }
-      // Normalize the echo column before the byte comparison.
-      std::string normalized;
-      for (exp::CellResult r : rs.rows()) {
-        r.solver_threads = 0;
-        exp::ResultSet one;
-        one.add(std::move(r));
-        const std::string cell_csv = one.to_csv();
-        normalized += cell_csv.substr(cell_csv.find('\n') + 1);
-      }
-      if (reference.empty()) {
-        reference = normalized;
-      } else {
-        EXPECT_EQ(normalized, reference)
-            << "cells=" << parallel_cells << " threads=" << threads;
-      }
+  for (const int threads : {1, 4}) {
+    sweep.solve.solver_threads = threads;
+    exp::Runner runner;
+    const std::string csv = runner.run(sweep, {}).to_csv();
+    // The configuration echo column is the only allowed difference.
+    exp::ResultSet rs = exp::ResultSet::from_csv(csv);
+    for (const exp::CellResult& r : rs.rows()) {
+      EXPECT_EQ(r.solver_threads, threads);
+    }
+    // Normalize the echo column before the byte comparison.
+    std::string normalized;
+    for (exp::CellResult r : rs.rows()) {
+      r.solver_threads = 0;
+      exp::ResultSet one;
+      one.add(std::move(r));
+      const std::string cell_csv = one.to_csv();
+      normalized += cell_csv.substr(cell_csv.find('\n') + 1);
+    }
+    if (reference.empty()) {
+      reference = normalized;
+    } else {
+      EXPECT_EQ(normalized, reference) << "threads=" << threads;
     }
   }
   EXPECT_FALSE(reference.empty());

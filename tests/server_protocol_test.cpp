@@ -83,6 +83,40 @@ TEST(ServerProtocolTest, ReplayedScriptYieldsByteIdenticalTranscript) {
   EXPECT_NE(first.find("\"source\": \"solved\""), std::string::npos);
 }
 
+TEST(ServerProtocolTest, RecordsMatchGoldenTranscript) {
+  // The published record, pinned byte for byte against
+  // tests/golden/server_records.jsonl: queries and sweeps on hypercube and
+  // fattree at 16 servers, with trials, cut bounds, scenarios and a warm
+  // chain, so every column kind is non-null somewhere.
+  ::unsetenv("TOPOBENCH_SOLVER_THREADS");  // echoed in solver_threads
+  ::unsetenv("TOPOBENCH_STORE");           // every answer is a fresh solve
+  const std::vector<std::string> script = {
+      R"x({"op": "query", "id": 1, "topology": {"family": "hypercube", "servers": 16}, "tm": "a2a", "epsilon": 0.1})x",
+      R"x({"op": "query", "id": 2, "topology": {"family": "fattree", "servers": 16}, "tm": "rm(2)", "solver": "gk", "epsilon": 0.1, "trials": 2, "seed": 5})x",
+      R"x({"op": "query", "id": 3, "topology": {"family": "hypercube", "servers": 16}, "tm": "lm", "epsilon": 0.1, "cut_bounds": true})x",
+      R"x({"op": "query", "id": 4, "topology": {"family": "fattree", "servers": 16}, "tm": "a2a", "epsilon": 0.1, "scenario": "groups(f=0.25)"})x",
+      R"x({"op": "sweep", "id": 5, "topologies": [{"family": "hypercube", "servers": 16}, {"family": "fattree", "servers": 16}], "tms": ["a2a", "lm"], "scenarios": ["fail(f=0.1)", "surge(x=2)"], "epsilon": 0.1})x",
+      R"x({"op": "sweep", "id": 6, "topologies": [{"family": "hypercube", "servers": 16}, {"family": "fattree", "servers": 16}], "tms": ["a2a", "rm(1)"], "solver": "gk", "epsilon": 0.1, "warm_start": true})x",
+      R"x({"op": "shutdown", "id": 7})x",
+  };
+  int rc = -1;
+  const std::string out = run_server("golden", script, &rc);
+  EXPECT_EQ(rc, 0);
+  std::ifstream golden_file(std::string(TOPOBENCH_GOLDEN_DIR) +
+                            "/server_records.jsonl");
+  ASSERT_TRUE(golden_file) << "missing golden transcript";
+  std::stringstream golden;
+  golden << golden_file.rdbuf();
+  std::stringstream got(out);
+  std::string want_line;
+  std::string got_line;
+  for (int line = 1; std::getline(golden, want_line); ++line) {
+    ASSERT_TRUE(std::getline(got, got_line)) << "missing response " << line;
+    EXPECT_EQ(got_line, want_line) << "response " << line;
+  }
+  EXPECT_FALSE(std::getline(got, got_line)) << "extra response: " << got_line;
+}
+
 TEST(ServerProtocolTest, SecondDaemonAnswersFromStoreWithIdenticalBytes) {
   const std::string store = work_path("storehit", ".store");
   std::remove(store.c_str());

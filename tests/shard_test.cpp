@@ -375,6 +375,45 @@ TEST(ShardMerge, RejectsTamperedRows) {
   expect_merge_error(slices, "carries cell 9");
 }
 
+/// Shard 1's first row (cell 3) of the 2-way grid split, as its raw line.
+std::string first_row_of_shard1(const std::vector<std::string>& slices) {
+  const std::size_t pos = slices[1].find("\n3,");
+  const std::size_t end = slices[1].find('\n', pos + 1);
+  return slices[1].substr(pos + 1, end - pos - 1);
+}
+
+TEST(ShardMerge, RejectsRowWithMissingField) {
+  std::vector<std::string> slices = shard_emissions(grid_sweep(), 2, "grid");
+  const std::string row = first_row_of_shard1(slices);
+  const std::string short_row = row.substr(0, row.rfind(','));  // 29 fields
+  slices[1].replace(slices[1].find(row), row.size(), short_row);
+  expect_merge_error(slices, "bad row arity (29 fields)");
+}
+
+TEST(ShardMerge, RejectsMalformedField) {
+  std::vector<std::string> slices = shard_emissions(grid_sweep(), 2, "grid");
+  const std::string row = first_row_of_shard1(slices);
+  // Re-encode the row with a marker server count, then corrupt the marker:
+  // the cell index and arity stay right, only servers is not a number.
+  exp::CellResult cell = exp::cell_from_csv_row(row);
+  cell.servers = 777777;
+  std::string bad_row = exp::csv_row(cell);
+  bad_row.replace(bad_row.find(",777777,"), 8, ",x16,");
+  slices[1].replace(slices[1].find(row), row.size(), bad_row);
+  expect_merge_error(slices, "bad servers field \"x16\"");
+}
+
+TEST(ShardMerge, RejectsForeignHeader) {
+  // Both slices agree with each other on a header that is not the schema's.
+  std::vector<std::string> slices = shard_emissions(grid_sweep(), 2, "grid");
+  for (std::string& s : slices) {
+    const std::size_t pos = s.find(exp::csv_header());
+    ASSERT_NE(pos, std::string::npos);
+    s.replace(pos, std::string("cell,topology,").size(), "cell,topo,");
+  }
+  expect_merge_error(slices, "foreign CSV header");
+}
+
 TEST(ShardMerge, RejectsDroppedRows) {
   std::vector<std::string> slices = shard_emissions(grid_sweep(), 2, "grid");
   // Delete shard 1's last row: the slice then carries fewer rows than its
