@@ -52,6 +52,12 @@ int main(int argc, char** argv) {
   sweep.tms = {exp::a2a_tm(), exp::random_matching_tm(5),
                exp::random_matching_tm(1), exp::longest_matching_tm()};
 
+  // Build each topology once, outside the timed runs: every run's one-cell
+  // shards then share the instance.
+  for (exp::TopoSpec& spec : sweep.topologies) {
+    spec.build = [net = spec.build()] { return net; };
+  }
+
   // One run per thread count on a fresh runner (the in-process cache
   // ignores solver_threads by design, so a shared runner would answer the
   // later runs from the first). Each cell runs as its own one-cell shard,

@@ -11,7 +11,6 @@
 #include <type_traits>
 
 #include "util/env.h"
-#include "util/table.h"
 
 namespace tb::exp {
 namespace {
@@ -59,15 +58,14 @@ std::vector<std::string> csv_split(const std::string& line) {
 }
 
 // --- value kinds ----------------------------------------------------------
-// Each kind renders a value exactly once per surface — CSV field, text-table
-// cell, json::Value — and parses the CSV field back strictly: parse()
-// accepts exactly what csv() can emit and returns false on anything else.
+// Each kind renders a value exactly once per surface — CSV field and
+// json::Value — and parses the CSV field back strictly: parse() accepts
+// exactly what csv() can emit and returns false on anything else.
 
-/// Integers: decimal in CSV and the table, a JSON number.
+/// Integers: decimal in CSV, a JSON number.
 template <typename T>
 struct Integer {
   static std::string csv(T v) { return std::to_string(v); }
-  static std::string text(T v) { return csv(v); }
   static json::Value json_value(T v) {
     return json::Value::number_v(static_cast<double>(v));
   }
@@ -99,7 +97,6 @@ struct Seed : Integer<std::uint64_t> {
 /// An int whose NA sentinel is -1 ("na" / null), since 0 is a real count.
 struct NaInt {
   static std::string csv(int v) { return v < 0 ? "na" : std::to_string(v); }
-  static std::string text(int v) { return csv(v); }
   static json::Value json_value(int v) {
     return v < 0 ? json::Value::null() : json::Value::number_v(v);
   }
@@ -113,8 +110,8 @@ struct NaInt {
 };
 
 /// A double: %.17g in CSV (round-trips every finite value; NaN is "na",
-/// infinite cut bounds are "inf"), 4 digits in the table, and null in JSON
-/// for NaN and infinities, which JSON cannot spell.
+/// infinite cut bounds are "inf"); json::dump writes NaN and infinities,
+/// which JSON cannot spell, as null.
 struct Real {
   static std::string csv(double v) {
     if (std::isnan(v)) return "na";
@@ -122,12 +119,7 @@ struct Real {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
   }
-  static std::string text(double v) {
-    return std::isnan(v) ? "na" : Table::fmt(v, 4);
-  }
-  static json::Value json_value(double v) {
-    return std::isfinite(v) ? json::Value::number_v(v) : json::Value::null();
-  }
+  static json::Value json_value(double v) { return json::Value::number_v(v); }
   static bool parse(const std::string& s, double& v) {
     if (s == "na") {
       v = std::numeric_limits<double>::quiet_NaN();
@@ -148,7 +140,6 @@ struct Real {
 /// A label: RFC-4180 quoted in CSV only when it must be.
 struct Text {
   static std::string csv(const std::string& s) { return csv_quote(s); }
-  static std::string text(const std::string& s) { return s; }
   static json::Value json_value(const std::string& s) {
     return json::Value::string_v(s);
   }
@@ -158,10 +149,8 @@ struct Text {
   }
 };
 
-/// A label that is empty when its column does not apply: "na" in the
-/// table, null in JSON.
+/// A label that is empty when its column does not apply: null in JSON.
 struct OptText : Text {
-  static std::string text(const std::string& s) { return s.empty() ? "na" : s; }
   static json::Value json_value(const std::string& s) {
     return s.empty() ? json::Value::null() : json::Value::string_v(s);
   }
@@ -172,7 +161,6 @@ struct OptText : Text {
 struct Column {
   const char* name;
   std::string (*csv)(const CellResult&);
-  std::string (*text)(const CellResult&);
   json::Value (*json_value)(const CellResult&);
   bool (*parse)(const std::string&, CellResult&);
 };
@@ -180,7 +168,6 @@ struct Column {
 template <typename Kind, auto Member>
 constexpr Column column(const char* name) {
   return {name, [](const CellResult& r) { return Kind::csv(r.*Member); },
-          [](const CellResult& r) { return Kind::text(r.*Member); },
           [](const CellResult& r) { return Kind::json_value(r.*Member); },
           [](const std::string& s, CellResult& r) {
             return Kind::parse(s, r.*Member);
@@ -188,7 +175,7 @@ constexpr Column column(const char* name) {
 }
 
 /// The one declaration of the record schema: column order, names and
-/// kinds for CSV, the store, the text table and JSON alike.
+/// kinds for CSV, the store and JSON alike.
 constexpr Column kColumns[] = {
     column<Index, &CellResult::cell>("cell"),
     column<Text, &CellResult::topology>("topology"),
@@ -355,24 +342,9 @@ ResultSet ResultSet::from_csv(const std::string& csv) {
 }
 
 void ResultSet::emit(std::ostream& os, const std::string& caption) const {
-  // A slice is only meaningful as CSV (the "#!" header + mergeable rows),
-  // so a sharded run emits CSV even without TOPOBENCH_CSV=1.
-  if (csv_mode() || slice_) {
-    os << "# " << caption << '\n';
-    if (slice_) os << slice_header_line(*slice_) << '\n';
-    os << to_csv();
-  } else {
-    std::vector<std::string> header;
-    for (const Column& c : kColumns) header.emplace_back(c.name);
-    Table table(std::move(header));
-    for (const CellResult& r : rows_) {
-      std::vector<std::string> cells;
-      for (const Column& c : kColumns) cells.push_back(c.text(r));
-      table.add_row(std::move(cells));
-    }
-    table.print(os, caption);
-  }
-  os << '\n';
+  os << "# " << caption << '\n';
+  if (slice_) os << slice_header_line(*slice_) << '\n';
+  os << to_csv() << '\n';
 }
 
 bool csv_mode() { return env::flag_knob("TOPOBENCH_CSV", false); }

@@ -4,8 +4,8 @@
 //
 // One schema: results.cpp declares the 30 columns once, as an ordered
 // table of (name, CellResult member, value kind), and the CSV header and
-// rows, the strict CSV parser, the text table and the JSON record
-// (cell_json, shared by to_json and the server) are all loops over it.
+// rows, the strict CSV parser and the JSON record (cell_json, shared by
+// to_json and the server) are all loops over it.
 //
 // NaN sentinel: fields that do not apply — the random-graph baseline of an
 // absolute (trials == 0) cell, or the CI of a single-trial cell — are quiet
@@ -109,9 +109,9 @@ class ResultSet {
   const std::optional<SliceMeta>& slice() const noexcept { return slice_; }
   void set_slice(const SliceMeta& meta) { slice_ = meta; }
 
-  /// CSV to `os` when TOPOBENCH_CSV=1 or this is a slice (prefixed
-  /// "# caption" and, for slices, the "#!" header), otherwise an aligned
-  /// human-readable table.
+  /// The CSV to `os`, prefixed "# caption" and, for slices, the "#!"
+  /// header. Drivers call it when TOPOBENCH_CSV=1 or on a slice and print
+  /// their own derived tables otherwise.
   void emit(std::ostream& os, const std::string& caption) const;
 
  private:

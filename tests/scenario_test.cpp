@@ -515,7 +515,8 @@ TEST(GrowthSweep, GrowthPointsMixedWithFailuresMatchPureGrowthCells) {
 
 // --- correlated failures through the sweep --------------------------------
 
-TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
+// A correlated-failure, a surge and a hotspot cell on one ExactLP instance.
+exp::Sweep correlated_sweep() {
   exp::Sweep sweep;
   sweep.topologies = {exp::representative_spec(Family::Jellyfish, 16, 1)};
   sweep.tms = {exp::a2a_tm()};
@@ -524,34 +525,40 @@ TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
   sweep.scenarios.push_back(exp::surge_scenario(1.5));
   sweep.scenarios.push_back(exp::hotspot_scenario(0.5, 2.0));
   sweep.base_seed = 7;
+  return sweep;
+}
 
-  exp::Runner parallel;
-  const exp::ResultSet rs = parallel.run(sweep, {});
+// correlated_sweep()'s CSV, computed one scenario at a time on the calling
+// thread. Two tests meet here, each within its own timeout: the
+// pool-scheduled Runner must reproduce these bytes, and so must an
+// explicit serial loop of the per-scenario calls, so the two schedules
+// agree bitwise on every row.
+const char* const kCorrelatedCsv =
+    "cell,topology,servers,switches,tm,seed,solver,trials,throughput,"
+    "random_mean,random_ci95,relative,relative_ci95,cut_bound,cut_gap,"
+    "cut_method,scenario,failed_links,throughput_drop,risk_group,tm_scale,"
+    "growth_step,pivots,phases,dijkstras,pushes,relabels,global_relabels,"
+    "warm,solver_threads\n"
+    "0,\"Jellyfish(n=32,r=7)\",32,32,A2A,11601954920945687888,exact-lp,0,"
+    "2.0645161290351468,na,na,na,na,na,na,,groups(f=0.25),28,"
+    "0.4494623655937382,7,1,na,13760,0,0,0,0,0,0,0\n"
+    "1,\"Jellyfish(n=32,r=7)\",32,32,A2A,7007307406066676594,exact-lp,0,"
+    "2.5000000000000013,na,na,na,na,na,na,,surge(x=1.5),0,"
+    "0.3333333333370998,0,1.5,na,0,0,0,0,0,0,1,0\n"
+    "2,\"Jellyfish(n=32,r=7)\",32,32,A2A,17224172085814043037,exact-lp,0,"
+    "2.4460167987883419,na,na,na,na,na,na,,\"hotspot(f=0.5,x=2)\",0,"
+    "0.34772885366012762,0,1,na,18708,0,0,0,0,0,0,0\n";
+
+TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
+  const exp::Sweep sweep = correlated_sweep();
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, {});
+  // The runner fans the fleet's scenarios out over the pool.
+  EXPECT_EQ(rs.to_csv(), kCorrelatedCsv);
+
   ASSERT_EQ(rs.size(), 3u);
-
-  // Thread invariance of the correlated cell: the runner's pool-scheduled
-  // fleet row must be bitwise the one-at-a-time degraded_throughput call
-  // on the calling thread, seeded by the runner's contract (group TM from
-  // the scenario-0 cell stream, the sampler from the cell's own stream).
-  // The surge and hotspot cells are pinned the same way on a cheaper
-  // instance by ScenarioFleet.BatchMatchesSerialBitwiseForStructuredScenarios
-  // and across thread counts by runner_csv_determinism_correlated_failures;
-  // re-solving the hotspot LP (~100 s) here would push this test past its
-  // timeout.
-  const std::shared_ptr<const Network> net = sweep.topologies[0].build();
-  const TrafficMatrix tm =
-      sweep.tms[0].build(*net, mix_seed(mix_seed(sweep.base_seed, 0), 0));
-  mcf::ScenarioSpec spec = sweep.scenarios[0].spec;
-  spec.seed = mix_seed(mix_seed(sweep.base_seed, 0),
-                       static_cast<std::uint64_t>(sweep.trials) + 2);
-  const DegradedResult one = degraded_throughput(*net, tm, spec, sweep.solve);
-  EXPECT_EQ(rs.rows()[0].throughput, one.degraded);
-  EXPECT_EQ(rs.rows()[0].throughput_drop, one.drop);
-  EXPECT_EQ(rs.rows()[0].pivots, one.stats.pivots);
-  EXPECT_EQ(rs.rows()[0].failed_links, one.failed_links);
-  EXPECT_EQ(rs.rows()[0].risk_group, one.failed_groups);
-
-  const std::size_t groups = net->risk_groups.size();
+  const std::size_t groups =
+      sweep.topologies[0].build()->risk_groups.size();
   const exp::CellResult& correlated = rs.rows()[0];
   EXPECT_EQ(correlated.scenario, "groups(f=0.25)");
   EXPECT_EQ(correlated.risk_group,
@@ -569,6 +576,37 @@ TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_EQ(r.growth_step, -1);  // failure axis, not growth
     EXPECT_FALSE(std::isnan(r.throughput_drop));
+  }
+}
+
+TEST(ScenarioSweep, CorrelatedFailuresSerialLoopMatchesPinnedRows) {
+  // The same cells one at a time on the calling thread: fork the intact
+  // baseline session, apply the scenario, warm-solve, seeded by the
+  // runner's contract (the group TM from the scenario-0 cell stream, each
+  // sampler from its own cell's stream after the cut sampler's).
+  const exp::Sweep sweep = correlated_sweep();
+  const exp::ResultSet pinned = exp::ResultSet::from_csv(kCorrelatedCsv);
+  ASSERT_EQ(pinned.size(), sweep.scenarios.size());
+  const std::shared_ptr<const Network> net = sweep.topologies[0].build();
+  const TrafficMatrix tm =
+      sweep.tms[0].build(*net, mix_seed(mix_seed(sweep.base_seed, 0), 0));
+  mcf::ThroughputEngine base(*net);
+  const double baseline = base.solve(tm, sweep.solve).throughput;
+  for (std::size_t i = 0; i < sweep.scenarios.size(); ++i) {
+    mcf::ScenarioSpec spec = sweep.scenarios[i].spec;
+    spec.seed = mix_seed(mix_seed(sweep.base_seed, i),
+                         static_cast<std::uint64_t>(sweep.trials) + 2);
+    const std::unique_ptr<mcf::ThroughputEngine> worker = base.fork_session();
+    worker->apply_scenario(spec);
+    const mcf::ThroughputResult r = worker->warm_solve(tm, sweep.solve);
+    const exp::CellResult& row = pinned.rows()[i];
+    EXPECT_EQ(row.throughput, r.throughput) << i;
+    EXPECT_EQ(row.throughput_drop, 1.0 - r.throughput / baseline) << i;
+    EXPECT_EQ(row.pivots, r.stats.pivots) << i;
+    EXPECT_EQ(row.warm, r.stats.warm_start ? 1 : 0) << i;
+    EXPECT_EQ(row.failed_links, worker->failed_edge_count()) << i;
+    EXPECT_EQ(row.risk_group, worker->failed_group_count()) << i;
+    EXPECT_EQ(row.tm_scale, spec.tm_scale) << i;
   }
 }
 
